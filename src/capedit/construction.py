@@ -162,8 +162,9 @@ class EditSample:
 @dataclass(frozen=True)
 class Degradation:
     """One removable-branch cut: attributes are the branch head words,
-    removed_spans the cut token ranges of the original caption, edited
-    the remaining caption."""
+    removed_spans the cut token ranges of the original caption (touching
+    branches share one, so attributes may outnumber them), edited the
+    remaining caption."""
 
     attributes: tuple[tuple[str, ...], ...]
     removed_spans: tuple[tuple[int, int], ...]
@@ -326,7 +327,9 @@ def degrade(
     POS can serve as an attribute, and (for noun-headed branches) it
     does not overlap a core argument of the main predicate.  Branches
     spanning at most merge_max_tokens tokens are merged with sibling
-    branches of the same head into multi-attribute results.
+    branches of the same head into multi-attribute results; merged
+    branches that touch (e.g. stacked adjectives) become one removed
+    span, keeping one attribute phrase per branch.
     """
     config = config or ConstructionConfig()
     n = len(caption)
@@ -388,10 +391,14 @@ def degrade(
 
     def make_result(members: list[tuple[tuple[int, int], int]]) -> Degradation | None:
         members = sorted(members)
-        spans_ = [span for span, _ in members]
-        for (s1, e1), (s2, e2) in zip(spans_, spans_[1:]):
-            if e1 > s2:
+        spans_: list[tuple[int, int]] = []
+        for (s, e), _ in members:
+            if spans_ and spans_[-1][1] > s:
                 return None
+            if spans_ and spans_[-1][1] == s:  # touching branches: one removed span
+                spans_[-1] = (spans_[-1][0], e)
+            else:
+                spans_.append((s, e))
         removed = sum(e - s for s, e in spans_)
         if n - removed < config.min_remaining_tokens:
             return None
@@ -614,9 +621,18 @@ def filter_and_balance(
     configured threshold (absent values pass) or whose reference/truth
     edit distance exceeds the bound.  Balancing starts from each
     sample's own (finest) kind and moves samples from over- to
-    under-populated kinds along their claimable set; moves are chosen
-    with the seeded RNG, so identical inputs and seed give identical
-    output.
+    under-populated kinds along their claimable set.
+
+    Each sample's claim set is computed once by claim_kinds, when it
+    enters a kind pool, and again after a move (the move changes its
+    kind); a per (donor, recipient) count of movable pool members lets
+    a donor without one be skipped without a scan.  Nothing is computed
+    while no two kinds differ by more than balance_tolerance.
+
+    Determinism: each move draws rng.randrange over the donor's movable
+    members in pool order, and the optional max_per_kind cap then
+    samples each pool with the same RNG, so identical inputs and seed
+    give identical output.
     """
     config = config or ConstructionConfig()
     rng = random.Random(seed)
@@ -634,36 +650,9 @@ def filter_and_balance(
     pools: dict[CommandKind, list[EditSample]] = {k: [] for k in CommandKind}
     for s in kept:
         pools[kind(s.command)].append(s)
-
-    order = {k: i for i, k in enumerate(CommandKind)}
-    while True:
-        moved = False
-        counts = {k: len(v) for k, v in pools.items()}
-        for recipient in sorted(CommandKind, key=lambda k: (counts[k], order[k])):
-            donors = sorted(
-                CommandKind, key=lambda k: (-counts[k], order[k])
-            )
-            for donor in donors:
-                if counts[donor] - counts[recipient] <= config.balance_tolerance:
-                    break
-                if donor is recipient:
-                    continue
-                movable = [
-                    i
-                    for i, s in enumerate(pools[donor])
-                    if recipient in claim_kinds(s, config)
-                ]
-                if not movable:
-                    continue
-                idx = movable[rng.randrange(len(movable))]
-                sample = pools[donor].pop(idx)
-                pools[recipient].append(_reassign(sample, recipient))
-                moved = True
-                break
-            if moved:
-                break
-        if not moved:
-            break
+    counts = {k: len(v) for k, v in pools.items()}
+    if max(counts.values()) - min(counts.values()) > config.balance_tolerance:
+        _balance(pools, counts, config, rng)
 
     if config.max_per_kind is not None:
         for k in CommandKind:
@@ -674,6 +663,53 @@ def filter_and_balance(
                 pools[k] = [pools[k][i] for i in keep_idx]
 
     return [s for k in KIND_ORDER for s in pools[k]]
+
+
+def _next_move(
+    counts: dict[CommandKind, int], movable: Counter, tolerance: int
+) -> tuple[CommandKind, CommandKind] | None:
+    """The (donor, recipient) pair of the next move: the least-populated
+    recipient that some donor more than tolerance larger can serve,
+    taking the largest such donor; ties go to enum order (stable sort)."""
+    donors = sorted(CommandKind, key=lambda k: -counts[k])
+    for recipient in sorted(CommandKind, key=counts.__getitem__):
+        for donor in donors:
+            if counts[donor] - counts[recipient] <= tolerance:
+                break
+            if donor is not recipient and movable[donor, recipient]:
+                return donor, recipient
+    return None
+
+
+def _balance(
+    pools: dict[CommandKind, list[EditSample]],
+    counts: dict[CommandKind, int],
+    config: ConstructionConfig,
+    rng: random.Random,
+) -> None:
+    """Move samples between pools in place until _next_move finds none."""
+    claims = {k: [claim_kinds(s, config) for s in pool] for k, pool in pools.items()}
+    movable: Counter = Counter(
+        (donor, k) for donor, pool_claims in claims.items() for c in pool_claims for k in c
+    )
+    while (move := _next_move(counts, movable, config.balance_tolerance)) is not None:
+        donor, recipient = move
+        n = counts[donor]
+        if movable[donor, recipient] == n:
+            idx = rng.randrange(n)
+        else:
+            candidates = [i for i, c in enumerate(claims[donor]) if recipient in c]
+            idx = candidates[rng.randrange(len(candidates))]
+        sample = _reassign(pools[donor].pop(idx), recipient)
+        for k in claims[donor].pop(idx):
+            movable[donor, k] -= 1
+        new_claims = claim_kinds(sample, config)
+        for k in new_claims:
+            movable[recipient, k] += 1
+        pools[recipient].append(sample)
+        claims[recipient].append(new_claims)
+        counts[donor] -= 1
+        counts[recipient] += 1
 
 
 @dataclass(frozen=True)

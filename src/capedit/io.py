@@ -50,6 +50,12 @@ def _require(record: dict, key: str, path: str, lineno: int):
     return record[key]
 
 
+def _tokenize(value, mode: LanguageMode, what: str, path: str, lineno: int) -> TokenSeq:
+    if not isinstance(value, str):
+        raise DatasetError(f"{path}:{lineno}: {what} must be a string, got {value!r}")
+    return tokenize(value, mode)
+
+
 def _command_from_wire(data: dict, op_required: bool, path: str, lineno: int, mode: LanguageMode) -> Command:
     try:
         op = Operation(data["op"])
@@ -57,13 +63,18 @@ def _command_from_wire(data: dict, op_required: bool, path: str, lineno: int, mo
         raise DatasetError(f"{path}:{lineno}: bad command operation") from None
     positions = data.get("positions")
     if positions is not None:
-        if op is Operation.ADD:
-            positions = tuple(int(p) for p in positions)
-        else:
-            positions = tuple((int(s), int(e)) for s, e in positions)
+        try:
+            if op is Operation.ADD:
+                positions = tuple(int(p) for p in positions)
+            else:
+                positions = tuple((int(s), int(e)) for s, e in positions)
+        except (TypeError, ValueError):
+            raise DatasetError(f"{path}:{lineno}: bad command positions {positions!r}") from None
     attributes = data.get("attributes")
     if attributes is not None:
-        attributes = tuple(tuple(tokenize(a, mode).tokens) for a in attributes)
+        attributes = tuple(
+            _tokenize(a, mode, "attribute", path, lineno).tokens for a in attributes
+        )
     try:
         return Command(op, positions, attributes)
     except CapeditError as exc:
@@ -94,18 +105,24 @@ def sample_from_wire(record: dict, path: str = "<memory>", lineno: int = 0) -> E
     cmd = _command_from_wire(
         _require(record, "command", path, lineno), True, path, lineno, mode
     )
-    reference = tokenize(_require(record, "reference", path, lineno), mode)
-    ground_truth = tokenize(_require(record, "ground_truth", path, lineno), mode)
+    reference = _tokenize(
+        _require(record, "reference", path, lineno), mode, "reference", path, lineno
+    )
+    ground_truth = _tokenize(
+        _require(record, "ground_truth", path, lineno), mode, "ground_truth", path, lineno
+    )
     payload = record.get("payload")
     if payload is not None:
-        payload = tuple(tuple(tokenize(span, mode).tokens) for span in payload)
+        payload = tuple(
+            _tokenize(span, mode, "payload span", path, lineno).tokens for span in payload
+        )
     aux = record.get("aux") or {}
-    provenance = Provenance(record["provenance"]) if "provenance" in record else (
-        Provenance.DEGRADATION if payload is not None and cmd.op is Operation.DEL
-        else Provenance.REVERSAL if payload is not None
-        else Provenance.LENGTH_PAIR
-    )
     try:
+        provenance = Provenance(record["provenance"]) if "provenance" in record else (
+            Provenance.DEGRADATION if payload is not None and cmd.op is Operation.DEL
+            else Provenance.REVERSAL if payload is not None
+            else Provenance.LENGTH_PAIR
+        )
         return EditSample(
             id=rid,
             video_id=video_id,
@@ -209,7 +226,9 @@ def read_captions(path: str) -> list[CaptionGroup]:
         if not captions:
             raise DatasetError(f"{path}:{lineno}: empty caption list")
         groups.append(
-            CaptionGroup(vid, tuple(tokenize(c, mode) for c in captions))
+            CaptionGroup(
+                vid, tuple(_tokenize(c, mode, "caption", path, lineno) for c in captions)
+            )
         )
     return groups
 

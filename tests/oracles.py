@@ -2,11 +2,18 @@
 
 These deliberately avoid the library's code paths: plain recursion for
 edit distance, subsequence enumeration for LCS, exhaustive monotone
-alignment enumeration (iterative deepening) for the aligner, and a
-list-based multiset calculator for SARI.
+alignment enumeration (iterative deepening) for the aligner, a
+list-based multiset calculator for SARI, and a balancer that rescans
+every donor pool with claim_kinds on every move.
 """
 
 from __future__ import annotations
+
+import random
+
+from capedit import text as text_mod
+from capedit.commands import KIND_ORDER, CommandKind, kind
+from capedit.construction import ConstructionConfig, _reassign, claim_kinds
 
 
 def edit_distance_recursive(a, b) -> int:
@@ -168,3 +175,61 @@ def sari_independent(source, hypothesis, truth) -> float:
         delete += _precision(_multiset_sub(s, c), _multiset_sub(s, g))
         add += _f1(_multiset_sub(c, s), _multiset_sub(g, s))
     return (keep / 4.0 + delete / 4.0 + add / 4.0) / 3.0
+
+
+def filter_and_balance_rescan(samples, config=None, seed: int = 0) -> list:
+    """construction.filter_and_balance without cached claim sets: every
+    move re-sorts the kinds by population and rebuilds the donor's
+    movable list by calling claim_kinds on each pool member."""
+    config = config or ConstructionConfig()
+    rng = random.Random(seed)
+
+    kept = []
+    for s in samples:
+        if config.ppl_threshold is not None and s.ppl is not None and s.ppl > config.ppl_threshold:
+            continue
+        if config.max_edit_distance is not None:
+            dist = text_mod.edit_distance(s.reference, s.ground_truth)
+            if dist > config.max_edit_distance:
+                continue
+        kept.append(s)
+
+    pools = {k: [] for k in CommandKind}
+    for s in kept:
+        pools[kind(s.command)].append(s)
+
+    order = {k: i for i, k in enumerate(CommandKind)}
+    while True:
+        moved = False
+        counts = {k: len(v) for k, v in pools.items()}
+        for recipient in sorted(CommandKind, key=lambda k: (counts[k], order[k])):
+            donors = sorted(CommandKind, key=lambda k: (-counts[k], order[k]))
+            for donor in donors:
+                if counts[donor] - counts[recipient] <= config.balance_tolerance:
+                    break
+                if donor is recipient:
+                    continue
+                movable = [
+                    i
+                    for i, s in enumerate(pools[donor])
+                    if recipient in claim_kinds(s, config)
+                ]
+                if not movable:
+                    continue
+                idx = movable[rng.randrange(len(movable))]
+                sample = pools[donor].pop(idx)
+                pools[recipient].append(_reassign(sample, recipient))
+                moved = True
+                break
+            if moved:
+                break
+        if not moved:
+            break
+
+    if config.max_per_kind is not None:
+        for k in CommandKind:
+            if len(pools[k]) > config.max_per_kind:
+                keep_idx = sorted(rng.sample(range(len(pools[k])), config.max_per_kind))
+                pools[k] = [pools[k][i] for i in keep_idx]
+
+    return [s for k in KIND_ORDER for s in pools[k]]

@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from capedit.commands import Command, CommandKind, Operation, kind
+from capedit import construction
+from capedit.commands import KIND_ORDER, Command, CommandKind, Operation, kind
 from capedit.construction import (
     CaptionGroup,
     ConstructionConfig,
@@ -29,6 +30,7 @@ from capedit.errors import CommandError, DatasetError
 from capedit.text import LanguageMode, TokenSeq, detokenize, tokenize
 
 from helpers import make_sample, make_samples
+from oracles import filter_and_balance_rescan
 
 WORD = LanguageMode.WORD
 
@@ -80,6 +82,25 @@ RIDES_PARSE = ParseAnnotation(
         (".", "PUNCT", 3, "punct"),
     ),
     (SrlFrame(3, (("ARG0", 0, 2), ("ARG1", 4, 7), ("AM-DIR", 7, 10))),),
+)
+
+
+# "a small brown dog runs across the park .": two stacked amod
+# adjectives are touching small sibling branches
+STACKED = T("a small brown dog runs across the park .")
+STACKED_PARSE = ParseAnnotation(
+    0,
+    _dep(
+        ("a", "DET", 3, "det"),
+        ("small", "ADJ", 3, "amod"),
+        ("brown", "ADJ", 3, "amod"),
+        ("dog", "NOUN", 4, "nsubj"),
+        ("runs", "VERB", -1, "root"),
+        ("across", "ADP", 7, "case"),
+        ("the", "DET", 7, "det"),
+        ("park", "NOUN", 4, "obl"),
+        (".", "PUNCT", 4, "punct"),
+    ),
 )
 
 
@@ -200,8 +221,15 @@ def test_degrade_rides_caption_merges_small_branches():
     assert detokenize(street.edited) == "A man quickly rides a red bike ."
 
 
+def test_degrade_merges_touching_branches_into_one_span():
+    degs = degrade(STACKED, STACKED_PARSE)
+    assert [d.removed_spans for d in degs] == [((1, 3),), ((5, 8),)]
+    assert degs[0].attributes == (("small",), ("brown",))
+    assert detokenize(degs[0].edited) == "a dog runs across the park ."
+
+
 def test_degrade_reconstruction_invariant():
-    for caption, ann in ((GIRLS, GIRLS_PARSE), (RIDES, RIDES_PARSE)):
+    for caption, ann in ((GIRLS, GIRLS_PARSE), (RIDES, RIDES_PARSE), (STACKED, STACKED_PARSE)):
         for deg in degrade(caption, ann):
             removed = oracle_apply(
                 Command(Operation.DEL, deg.removed_spans), caption
@@ -481,6 +509,89 @@ def test_max_per_kind_cap():
     assert len(out) == 4
     kinds = [kind(s.command) for s in out]
     assert len(set(kinds)) == 4
+
+
+# per kind, a reservoir of synthetic samples whose length differences
+# fall on both sides of the min_length_diff values used below
+_RESERVOIR = {
+    k: [make_sample(random.Random(1000 * i + j), k, f"v{j}") for j in range(30)]
+    for i, k in enumerate(KIND_ORDER)
+}
+
+
+def _random_mix(rng: random.Random) -> list[EditSample]:
+    """A random kind mix: some kinds absent, some dominant, ids unique,
+    a third of the samples carrying a perplexity."""
+    out = []
+    for k in KIND_ORDER:
+        for s in rng.sample(_RESERVOIR[k], rng.choice((0, 1, 2, 5, 12, 30))):
+            ppl = rng.choice((None, 5.0, 50.0))
+            out.append(replace(s, id=f"t{len(out):04d}", ppl=ppl))
+    rng.shuffle(out)
+    return out
+
+
+def _stuck_pair(samples, config) -> bool:
+    """Some donor exceeds some recipient by more than the tolerance but
+    has no member that can move to it."""
+    pools = {k: [s for s in samples if kind(s.command) is k] for k in CommandKind}
+    return any(
+        len(pools[d]) - len(pools[r]) > config.balance_tolerance
+        and not any(r in claim_kinds(s, config) for s in pools[d])
+        for d in CommandKind
+        for r in CommandKind
+        if d is not r
+    )
+
+
+@pytest.mark.parametrize("tolerance", [0, 1, 3])
+def test_balancing_matches_rescanning_oracle(tolerance):
+    rng = random.Random(tolerance)
+    stuck = 0
+    for case in range(40):
+        samples = _random_mix(rng)
+        config = ConstructionConfig(
+            min_length_diff=rng.choice((0, 2, 5)),
+            balance_tolerance=tolerance,
+            ppl_threshold=rng.choice((None, 10.0)),
+            max_per_kind=rng.choice((None, 1, 4)),
+        )
+        stuck += _stuck_pair(samples, config)
+        seed = rng.randrange(1000)
+        assert filter_and_balance(samples, config, seed) == filter_and_balance_rescan(
+            samples, config, seed
+        ), f"case {case}"
+    assert stuck  # the cases include donors that cannot serve a recipient
+
+
+def _counting(monkeypatch, name: str) -> list:
+    calls = []
+    inner = getattr(construction, name)
+
+    def counted(*args):
+        calls.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(construction, name, counted)
+    return calls
+
+
+def test_balancing_computes_each_claim_set_once(monkeypatch):
+    claims = _counting(monkeypatch, "claim_kinds")
+    moves = _counting(monkeypatch, "_reassign")
+    samples = [_pos_attr_sample(i) for i in range(40)] + make_samples(
+        random.Random(23), 6
+    )
+    out = filter_and_balance(samples, ConstructionConfig(), seed=3)
+    assert len(out) == len(samples)
+    assert moves
+    assert len(claims) <= len(samples) + len(moves)
+
+    # no two kinds differ by more than the tolerance: nothing is computed
+    del claims[:], moves[:]
+    even = make_samples(random.Random(29), 3)
+    assert filter_and_balance(even, ConstructionConfig(balance_tolerance=0)) == even
+    assert not claims and not moves
 
 
 def test_corpus_stats():

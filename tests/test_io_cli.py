@@ -110,6 +110,26 @@ def test_dataset_reader_validation(tmp_path):
         assert ":1:" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "bad, needle",
+    [
+        (_record(provenance="invented"), "Provenance"),
+        (_record(command={"op": "add", "positions": ["x"]}), "bad command positions"),
+        (_record(command={"op": "del", "positions": [[0, None]]}), "bad command positions"),
+        (_record(command={"op": "del", "positions": [3]}), "bad command positions"),
+        (_record(reference=7), "reference must be a string"),
+        (_record(ground_truth=["a", "b"]), "ground_truth must be a string"),
+        (_record(command={"op": "add", "attributes": [1]}), "attribute must be a string"),
+    ],
+)
+def test_cli_malformed_dataset_record_exits_two(tmp_path, capsys, bad, needle):
+    lines = [json.dumps(_record(id="ok")), json.dumps(bad)]
+    path = _write(tmp_path / "bad.jsonl", "\n".join(lines) + "\n")
+    assert main(["stats", "--dataset", path]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:2:" in err and needle in err
+
+
 def test_provenance_defaults_when_absent(tmp_path):
     records = [
         _record(id="a", command={"op": "del", "positions": [[0, 1]]},
@@ -146,6 +166,12 @@ def test_read_captions_validation(tmp_path):
         json.dumps({"video_id": "v", "lang": "en-word", "captions": []}) + "\n",
     )
     with pytest.raises(DatasetError):
+        cio.read_captions(path)
+    path = _write(
+        tmp_path / "c3.jsonl",
+        json.dumps({"video_id": "v", "lang": "en-word", "captions": [None]}) + "\n",
+    )
+    with pytest.raises(DatasetError, match="c3.jsonl:1: caption must be a string"):
         cio.read_captions(path)
 
 
@@ -379,6 +405,35 @@ def test_cli_construct_captions_only(tmp_path, data_dir):
     samples = cio.read_dataset(str(out))
     # no parses and no similar videos: only the length pair survives
     assert [kind(s.command) for s in samples] == [CommandKind.ADD_LEN]
+
+
+def test_cli_construct_stacked_adjectives(tmp_path):
+    captions = _write(
+        tmp_path / "captions.jsonl",
+        json.dumps({"video_id": "v", "lang": "en-word",
+                    "captions": ["a small brown dog runs across the park ."]}) + "\n",
+    )
+    rows = [
+        ("a", "DET", 4, "det"), ("small", "ADJ", 4, "amod"), ("brown", "ADJ", 4, "amod"),
+        ("dog", "NOUN", 5, "nsubj"), ("runs", "VERB", 0, "root"), ("across", "ADP", 8, "case"),
+        ("the", "DET", 8, "det"), ("park", "NOUN", 5, "obl"), (".", "PUNCT", 5, "punct"),
+    ]
+    parses = _write(
+        tmp_path / "parses.conllu",
+        "# sent_id = v#0\n"
+        + "".join(
+            f"{i}\t{form}\t_\t{upos}\t_\t_\t{head}\t{rel}\t_\t_\n"
+            for i, (form, upos, head, rel) in enumerate(rows, start=1)
+        )
+        + "\n",
+    )
+    out = tmp_path / "corpus.jsonl"
+    assert main(["construct", "--captions", captions, "--parses", parses, "--out", str(out)]) == 0
+    samples = cio.read_dataset(str(out))
+    assert any(s.payload is not None for s in samples)
+    for s in samples:
+        if s.payload is not None:
+            assert oracle_apply(s.command, s.reference, s.payload) == s.ground_truth
 
 
 def test_cli_stats(tmp_path, capsys):
