@@ -218,27 +218,37 @@ def _cmd_oracle_edit(args: argparse.Namespace) -> int:
 
 
 def _cmd_session(args: argparse.Namespace) -> int:
-    with open(args.script, encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
+    lines = list(cio._iter_json_lines(args.script))
     if not lines:
         raise DatasetError(f"{args.script}: empty session script")
-    head = lines[0]
+    head_lineno, head = lines[0]
     try:
         mode = LanguageMode.from_wire(head.get("lang", "en-word"))
-        session = Session(
-            str(head["video_id"]), tokenize(head["caption"], mode)
-        )
+        video_id = str(head["video_id"])
+        caption = head["caption"]
     except (KeyError, ValueError) as exc:
-        raise DatasetError(f"{args.script}:1: bad session header ({exc})") from exc
-    for lineno, step in enumerate(lines[1:], start=2):
+        raise DatasetError(
+            f"{args.script}:{head_lineno}: bad session header ({exc})"
+        ) from exc
+    session = Session(
+        video_id, cio._tokenize(caption, mode, "caption", args.script, head_lineno)
+    )
+    for lineno, step in lines[1:]:
         if "command" not in step:
             raise DatasetError(f"{args.script}:{lineno}: round without a command")
         cmd = cio._command_from_wire(step["command"], True, args.script, lineno, mode)
         payload = step.get("payload")
         if payload is not None:
-            payload = tuple(tuple(tokenize(s, mode).tokens) for s in payload)
+            payload = tuple(
+                cio._tokenize(s, mode, "payload span", args.script, lineno).tokens
+                for s in payload
+            )
         hyp = step.get("hypothesis")
-        hypothesis = tokenize(hyp, mode) if hyp is not None else None
+        hypothesis = (
+            cio._tokenize(hyp, mode, "hypothesis", args.script, lineno)
+            if hyp is not None
+            else None
+        )
         session = session_step(session, cmd, hypothesis, payload, delta=args.delta)
         rnd = session.rounds[-1]
         sys.stdout.write(

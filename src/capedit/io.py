@@ -39,9 +39,14 @@ def _iter_json_lines(path: str):
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(record, dict):
+                raise DatasetError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(record).__name__}"
+                )
+            yield lineno, record
 
 
 def _require(record: dict, key: str, path: str, lineno: int):
@@ -56,18 +61,25 @@ def _tokenize(value, mode: LanguageMode, what: str, path: str, lineno: int) -> T
     return tokenize(value, mode)
 
 
+def _json_int(value) -> int:
+    """A JSON integer as is; int() would truncate 1.7 and accept true and "1"."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
 def _command_from_wire(data: dict, op_required: bool, path: str, lineno: int, mode: LanguageMode) -> Command:
     try:
         op = Operation(data["op"])
-    except (KeyError, ValueError):
+    except (KeyError, TypeError, ValueError):
         raise DatasetError(f"{path}:{lineno}: bad command operation") from None
     positions = data.get("positions")
     if positions is not None:
         try:
             if op is Operation.ADD:
-                positions = tuple(int(p) for p in positions)
+                positions = tuple(_json_int(p) for p in positions)
             else:
-                positions = tuple((int(s), int(e)) for s, e in positions)
+                positions = tuple((_json_int(s), _json_int(e)) for s, e in positions)
         except (TypeError, ValueError):
             raise DatasetError(f"{path}:{lineno}: bad command positions {positions!r}") from None
     attributes = data.get("attributes")

@@ -16,15 +16,22 @@ BLEU-4 (uniform weights, clipped counts, brevity penalty, no
 smoothing), and ROUGE-L (LCS F-measure with beta = 1.2).  Perplexity
 and EMScore are ingested from sample records, never computed.
 
-All aggregations use exact or order-independent arithmetic, so
-shuffling the corpus never changes a reported number.
+evaluate_corpus makes one pass: each unit is scored once into a
+record of sufficient statistics (hits, SARI, ROUGE-L, lengths, BLEU's
+clipped matches and n-gram totals per order, ppl, EMScore), which is
+added to its kind's sums and to the overall sums; every report row is
+built from such sums.  SARI and BLEU share one n-gram count per
+sequence and order, kept in plain dicts.  Integer counts sum exactly
+and the float means use math.fsum, which is correctly rounded, so
+neither shuffling the corpus nor grouping it by kind changes a
+reported number.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from capedit import kernels
 from capedit.alignment import dsa_align, mask_span_lengths
@@ -107,31 +114,98 @@ def pos_acc(unit: EvalUnit) -> bool | None:
     return all(n > 0 for n in mask_span_lengths(result))
 
 
-def _grams(tokens: tuple[str, ...], n: int) -> Counter:
-    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+class _Overlap(NamedTuple):
+    """Multiset sizes for one n-gram order; S, C and G are the n-gram
+    multisets of the source, the hypothesis and the truth."""
+
+    s: int
+    c: int
+    g: int
+    sc: int  # |S & C|
+    sg: int  # |S & G|
+    scg: int  # |S & C & G|
+    deleted: int  # |(S - C) & (S - G)|
+    added: int  # |(C - S) & (G - S)|
+    cg: int  # |C & G|: BLEU's clipped matches
 
 
-def _f1(produced: Counter, expected: Counter) -> float:
-    p_total = sum(produced.values())
-    e_total = sum(expected.values())
-    if p_total == 0 and e_total == 0:
+def _counts(tokens: tuple[str, ...], n: int) -> dict:
+    """Multiplicity of each n-gram; unigrams are keyed by the token itself."""
+    out: dict = {}
+    for gram in tokens if n == 1 else zip(*(tokens[i:] for i in range(n))):
+        out[gram] = out.get(gram, 0) + 1
+    return out
+
+
+def _overlap_counts(
+    source: tuple[str, ...], hypothesis: tuple[str, ...], truth: tuple[str, ...]
+) -> list[_Overlap]:
+    """The integer statistics SARI and BLEU are built from, per order
+    n = 1..4.  Each sequence's n-grams are counted once; one loop over
+    S's keys and one over C's give every intersection through min/max
+    identities, e.g. |(S - C) & (S - G)| sums max(s - max(c, g), 0)."""
+    out = []
+    for n in range(1, 5):
+        s = _counts(source, n)
+        c = _counts(hypothesis, n)
+        g = _counts(truth, n)
+        sc = sg = scg = deleted = 0
+        for gram, sk in s.items():
+            ck = c.get(gram, 0)
+            gk = g.get(gram, 0)
+            kept_c = sk if sk < ck else ck
+            kept_g = sk if sk < gk else gk
+            sc += kept_c
+            sg += kept_g
+            if kept_c < kept_g:
+                scg += kept_c
+                deleted += sk - kept_g
+            else:
+                scg += kept_g
+                deleted += sk - kept_c
+        cg = added = 0
+        for gram, ck in c.items():
+            gk = g.get(gram)
+            if gk:
+                both = ck if ck < gk else gk
+                cg += both
+                sk = s.get(gram, 0)
+                if both > sk:
+                    added += both - sk
+        out.append(
+            _Overlap(
+                max(len(source) - n + 1, 0),
+                max(len(hypothesis) - n + 1, 0),
+                max(len(truth) - n + 1, 0),
+                sc, sg, scg, deleted, added, cg,
+            )
+        )
+    return out
+
+
+def _f1(good: int, produced: int, expected: int) -> float:
+    if produced == 0 and expected == 0:
         return 1.0
-    g_total = sum((produced & expected).values())
-    precision = g_total / p_total if p_total else 0.0
-    recall = g_total / e_total if e_total else 0.0
+    precision = good / produced if produced else 0.0
+    recall = good / expected if expected else 0.0
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _precision(produced: Counter, expected: Counter) -> float:
-    p_total = sum(produced.values())
-    e_total = sum(expected.values())
-    if p_total == 0 and e_total == 0:
-        return 1.0
-    if p_total == 0:
-        return 0.0
-    return sum((produced & expected).values()) / p_total
+def _precision(good: int, produced: int, expected: int) -> float:
+    if produced == 0:
+        return 1.0 if expected == 0 else 0.0
+    return good / produced
+
+
+def _sari(overlap: list[_Overlap]) -> float:
+    keep = delete = add = 0.0
+    for o in overlap:
+        keep += _f1(o.scg, o.sc, o.sg)
+        delete += _precision(o.deleted, o.s - o.sc, o.s - o.sg)
+        add += _f1(o.added, o.c - o.sc, o.g - o.sg)
+    return (keep + delete + add) / 12.0
 
 
 def sari_score(
@@ -145,15 +219,7 @@ def sari_score(
     produced and nothing expected scores 1, so a hypothesis equal to
     the truth always scores exactly 1.
     """
-    keep = delete = add = 0.0
-    for n in range(1, 5):
-        s = _grams(source, n)
-        c = _grams(hypothesis, n)
-        g = _grams(truth, n)
-        keep += _f1(s & c, s & g)
-        delete += _precision(s - c, s - g)
-        add += _f1(c - s, g - s)
-    return (keep + delete + add) / 12.0
+    return _sari(_overlap_counts(source, hypothesis, truth))
 
 
 def sari(unit: EvalUnit) -> float:
@@ -183,6 +249,22 @@ def rouge_l(unit: EvalUnit) -> float:
     )
 
 
+def _bleu(hyp_len: int, ref_len: int, matched, total) -> float:
+    """BLEU-4 from summed lengths and per-order clipped matches and
+    hypothesis n-gram totals."""
+    if hyp_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for m, t in zip(matched, total):
+        if t == 0:
+            continue
+        if m == 0:
+            return 0.0
+        log_sum += math.log(m / t)
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return bp * math.exp(log_sum / 4.0)
+
+
 def bleu4(units: list[EvalUnit]) -> float:
     """Corpus-level BLEU-4, single reference, no smoothing.
 
@@ -200,22 +282,10 @@ def bleu4(units: list[EvalUnit]) -> float:
         ref = normalized_tokens(unit.sample.ground_truth)
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, 5):
-            h = _grams(hyp, n)
-            r = _grams(ref, n)
-            total[n - 1] += sum(h.values())
-            matched[n - 1] += sum((h & r).values())
-    if hyp_len == 0:
-        return 0.0
-    log_sum = 0.0
-    for n in range(4):
-        if total[n] == 0:
-            continue
-        if matched[n] == 0:
-            return 0.0
-        log_sum += math.log(matched[n] / total[n])
-    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return bp * math.exp(log_sum / 4.0)
+        for i, o in enumerate(_overlap_counts((), hyp, ref)):
+            matched[i] += o.cg
+            total[i] += o.c
+    return _bleu(hyp_len, ref_len, matched, total)
 
 
 @dataclass(frozen=True)
@@ -273,50 +343,124 @@ def _mean(values: list[float]) -> float | None:
     return math.fsum(values) / len(values)
 
 
-def _build_row(
-    kind_name: str, label: str, units: list[EvalUnit], config: EvalConfig
-) -> MetricRow:
-    len_hits = sum(1 for u in units if len_acc(u, config))
-    attr_values = [v for u in units if (v := attr_acc(u)) is not None]
-    pos_values = [v for u in units if (v := pos_acc(u)) is not None]
-    sari_mean = math.fsum(sari(u) for u in units) / len(units)
-    rouge_mean = math.fsum(rouge_l(u) for u in units) / len(units)
-    return MetricRow(
-        kind=kind_name,
-        label=label,
-        count=len(units),
-        len_acc=_percent(len_hits, len(units)),
-        attr_acc=_percent(sum(attr_values), len(attr_values)) if attr_values else None,
-        pos_acc=_percent(sum(pos_values), len(pos_values)) if pos_values else None,
-        sari=sari_mean,
-        bleu4=bleu4(units),
-        rouge_l=rouge_mean,
-        mean_ppl=_mean([u.sample.ppl for u in units if u.sample.ppl is not None]),
-        mean_emscore=_mean(
-            [u.sample.emscore for u in units if u.sample.emscore is not None]
-        ),
+class _UnitScore(NamedTuple):
+    """Everything a report row needs from one unit, computed once."""
+
+    kind: CommandKind
+    len_hit: bool
+    attr_hit: bool | None
+    pos_hit: bool | None
+    sari: float
+    rouge_l: float
+    hyp_len: int
+    ref_len: int
+    matched: tuple[int, ...]  # BLEU clipped matches, orders 1..4
+    total: tuple[int, ...]  # hypothesis n-grams, orders 1..4
+    ppl: float | None
+    emscore: float | None
+
+
+def _score_unit(unit: EvalUnit, config: EvalConfig) -> _UnitScore:
+    hyp = normalized_tokens(unit.hypothesis)
+    truth = normalized_tokens(unit.sample.ground_truth)
+    overlap = _overlap_counts(normalized_tokens(unit.sample.reference), hyp, truth)
+    return _UnitScore(
+        kind=kind(unit.sample.command),
+        len_hit=len_acc(unit, config),
+        attr_hit=attr_acc(unit),
+        pos_hit=pos_acc(unit),
+        sari=_sari(overlap),
+        rouge_l=rouge_l_score(hyp, truth),
+        hyp_len=len(hyp),
+        ref_len=len(truth),
+        matched=tuple(o.cg for o in overlap),
+        total=tuple(o.c for o in overlap),
+        ppl=unit.sample.ppl,
+        emscore=unit.sample.emscore,
     )
+
+
+class _RowSums:
+    """Sums of unit scores for one report row.  Counts are ints; SARI,
+    ROUGE-L, ppl and EMScore values are kept for math.fsum."""
+
+    def __init__(self) -> None:
+        self.count = self.len_hits = 0
+        self.attr_hits = self.attr_judged = 0
+        self.pos_hits = self.pos_judged = 0
+        self.hyp_len = self.ref_len = 0
+        self.matched = [0, 0, 0, 0]
+        self.total = [0, 0, 0, 0]
+        self.sari: list[float] = []
+        self.rouge_l: list[float] = []
+        self.ppl: list[float] = []
+        self.emscore: list[float] = []
+
+    def add(self, score: _UnitScore) -> None:
+        self.count += 1
+        self.len_hits += score.len_hit
+        if score.attr_hit is not None:
+            self.attr_hits += score.attr_hit
+            self.attr_judged += 1
+        if score.pos_hit is not None:
+            self.pos_hits += score.pos_hit
+            self.pos_judged += 1
+        self.sari.append(score.sari)
+        self.rouge_l.append(score.rouge_l)
+        self.hyp_len += score.hyp_len
+        self.ref_len += score.ref_len
+        for i in range(4):
+            self.matched[i] += score.matched[i]
+            self.total[i] += score.total[i]
+        if score.ppl is not None:
+            self.ppl.append(score.ppl)
+        if score.emscore is not None:
+            self.emscore.append(score.emscore)
+
+    def row(self, kind_name: str, label: str) -> MetricRow:
+        return MetricRow(
+            kind=kind_name,
+            label=label,
+            count=self.count,
+            len_acc=_percent(self.len_hits, self.count),
+            attr_acc=_percent(self.attr_hits, self.attr_judged) if self.attr_judged else None,
+            pos_acc=_percent(self.pos_hits, self.pos_judged) if self.pos_judged else None,
+            sari=math.fsum(self.sari) / self.count,
+            bleu4=_bleu(self.hyp_len, self.ref_len, self.matched, self.total),
+            rouge_l=math.fsum(self.rouge_l) / self.count,
+            mean_ppl=_mean(self.ppl),
+            mean_emscore=_mean(self.emscore),
+        )
 
 
 def evaluate_corpus(units: list[EvalUnit], config: EvalConfig | None = None) -> MetricReport:
     """Per-kind rows (in fixed kind order, present kinds only) plus an
-    overall row with micro-averaged accuracies."""
+    overall row with micro-averaged accuracies.
+
+    One pass scores each unit once and adds the record to its kind's
+    sums and to the overall sums.  Hits and BLEU's lengths and n-gram
+    counts are integers, and SARI, ROUGE-L, perplexity and EMScore means
+    use math.fsum, which is correctly rounded, so a row's numbers do not
+    depend on the order or the grouping of its units.
+    """
     if not units:
         raise ValueError("empty corpus")
     modes = {u.sample.mode for u in units}
     if len(modes) != 1:
         raise ValueError("mixed language modes in one evaluation corpus")
     config = config or EvalConfig()
-    by_kind: dict[CommandKind, list[EvalUnit]] = {}
-    for u in units:
-        by_kind.setdefault(kind(u.sample.command), []).append(u)
+    by_kind: dict[CommandKind, _RowSums] = {}
+    overall = _RowSums()
+    for unit in units:
+        score = _score_unit(unit, config)
+        if score.kind not in by_kind:
+            by_kind[score.kind] = _RowSums()
+        by_kind[score.kind].add(score)
+        overall.add(score)
     rows = tuple(
-        _build_row(k.value, KIND_LABELS[k], by_kind[k], config)
-        for k in KIND_ORDER
-        if k in by_kind
+        by_kind[k].row(k.value, KIND_LABELS[k]) for k in KIND_ORDER if k in by_kind
     )
-    overall = _build_row("overall", "Overall", units, config)
-    return MetricReport(rows, overall)
+    return MetricReport(rows, overall.row("overall", "Overall"))
 
 
 def _fmt(value, kind: str) -> str:

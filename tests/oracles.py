@@ -3,17 +3,30 @@
 These deliberately avoid the library's code paths: plain recursion for
 edit distance, subsequence enumeration for LCS, exhaustive monotone
 alignment enumeration (iterative deepening) for the aligner, a
-list-based multiset calculator for SARI, and a balancer that rescans
-every donor pool with claim_kinds on every move.
+list-based multiset calculator for SARI, a balancer that rescans
+every donor pool with claim_kinds on every move, and a two-pass
+evaluator that rescores every unit for each report row with Counter
+arithmetic for SARI and BLEU.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 
 from capedit import text as text_mod
-from capedit.commands import KIND_ORDER, CommandKind, kind
+from capedit.commands import KIND_LABELS, KIND_ORDER, CommandKind, kind
 from capedit.construction import ConstructionConfig, _reassign, claim_kinds
+from capedit.metrics import (
+    EvalConfig,
+    MetricReport,
+    MetricRow,
+    attr_acc,
+    len_acc,
+    pos_acc,
+    rouge_l,
+)
 
 
 def edit_distance_recursive(a, b) -> int:
@@ -233,3 +246,123 @@ def filter_and_balance_rescan(samples, config=None, seed: int = 0) -> list:
                 pools[k] = [pools[k][i] for i in keep_idx]
 
     return [s for k in KIND_ORDER for s in pools[k]]
+
+
+def _grams(tokens, n: int) -> Counter:
+    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+
+
+def _counter_f1(produced: Counter, expected: Counter) -> float:
+    p_total = sum(produced.values())
+    e_total = sum(expected.values())
+    if p_total == 0 and e_total == 0:
+        return 1.0
+    g_total = sum((produced & expected).values())
+    precision = g_total / p_total if p_total else 0.0
+    recall = g_total / e_total if e_total else 0.0
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def _counter_precision(produced: Counter, expected: Counter) -> float:
+    p_total = sum(produced.values())
+    e_total = sum(expected.values())
+    if p_total == 0 and e_total == 0:
+        return 1.0
+    if p_total == 0:
+        return 0.0
+    return sum((produced & expected).values()) / p_total
+
+
+def sari_counter(source, hypothesis, truth) -> float:
+    """SARI from Counter intersection and difference, summed in the
+    same order as metrics.sari_score."""
+    keep = delete = add = 0.0
+    for n in range(1, 5):
+        s = _grams(source, n)
+        c = _grams(hypothesis, n)
+        g = _grams(truth, n)
+        keep += _counter_f1(s & c, s & g)
+        delete += _counter_precision(s - c, s - g)
+        add += _counter_f1(c - s, g - s)
+    return (keep + delete + add) / 12.0
+
+
+def bleu4_counter(units) -> float:
+    """Corpus BLEU-4 that rebuilds each unit's n-gram Counters."""
+    hyp_len = ref_len = 0
+    matched = [0, 0, 0, 0]
+    total = [0, 0, 0, 0]
+    for unit in units:
+        hyp = text_mod.normalized_tokens(unit.hypothesis)
+        ref = text_mod.normalized_tokens(unit.sample.ground_truth)
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, 5):
+            h = _grams(hyp, n)
+            r = _grams(ref, n)
+            total[n - 1] += sum(h.values())
+            matched[n - 1] += sum((h & r).values())
+    if hyp_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for n in range(4):
+        if total[n] == 0:
+            continue
+        if matched[n] == 0:
+            return 0.0
+        log_sum += math.log(matched[n] / total[n])
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return bp * math.exp(log_sum / 4.0)
+
+
+def _mean(values):
+    if not values:
+        return None
+    return math.fsum(values) / len(values)
+
+
+def _two_pass_row(kind_name: str, label: str, units, config) -> MetricRow:
+    n = len(units)
+    len_hits = sum(1 for u in units if len_acc(u, config))
+    attr_values = [v for u in units if (v := attr_acc(u)) is not None]
+    pos_values = [v for u in units if (v := pos_acc(u)) is not None]
+    return MetricRow(
+        kind=kind_name,
+        label=label,
+        count=n,
+        len_acc=100.0 * len_hits / n,
+        attr_acc=100.0 * sum(attr_values) / len(attr_values) if attr_values else None,
+        pos_acc=100.0 * sum(pos_values) / len(pos_values) if pos_values else None,
+        sari=math.fsum(
+            sari_counter(
+                text_mod.normalized_tokens(u.sample.reference),
+                text_mod.normalized_tokens(u.hypothesis),
+                text_mod.normalized_tokens(u.sample.ground_truth),
+            )
+            for u in units
+        ) / n,
+        bleu4=bleu4_counter(units),
+        rouge_l=math.fsum(rouge_l(u) for u in units) / n,
+        mean_ppl=_mean([u.sample.ppl for u in units if u.sample.ppl is not None]),
+        mean_emscore=_mean(
+            [u.sample.emscore for u in units if u.sample.emscore is not None]
+        ),
+    )
+
+
+def evaluate_corpus_two_pass(units, config=None) -> MetricReport:
+    """metrics.evaluate_corpus as it was before the one-pass engine:
+    each per-kind row and the overall row rescore their units, with
+    Counter-based SARI and BLEU."""
+    config = config or EvalConfig()
+    by_kind = {}
+    for u in units:
+        by_kind.setdefault(kind(u.sample.command), []).append(u)
+    rows = tuple(
+        _two_pass_row(k.value, KIND_LABELS[k], by_kind[k], config)
+        for k in KIND_ORDER
+        if k in by_kind
+    )
+    return MetricReport(rows, _two_pass_row("overall", "Overall", units, config))

@@ -117,6 +117,12 @@ def test_dataset_reader_validation(tmp_path):
         (_record(command={"op": "add", "positions": ["x"]}), "bad command positions"),
         (_record(command={"op": "del", "positions": [[0, None]]}), "bad command positions"),
         (_record(command={"op": "del", "positions": [3]}), "bad command positions"),
+        (_record(command={"op": "add", "positions": [1.7]}), "bad command positions"),
+        (_record(command={"op": "add", "positions": [True]}), "bad command positions"),
+        (_record(command={"op": "add", "positions": ["1"]}), "bad command positions"),
+        (_record(command={"op": "del", "positions": [[0, 1.7]]}), "bad command positions"),
+        (_record(command={"op": "del", "positions": [[True, 1]]}), "bad command positions"),
+        (_record(command="add"), "bad command operation"),
         (_record(reference=7), "reference must be a string"),
         (_record(ground_truth=["a", "b"]), "ground_truth must be a string"),
         (_record(command={"op": "add", "attributes": [1]}), "attribute must be a string"),
@@ -352,6 +358,34 @@ def test_cli_session_script(tmp_path, capsys):
 
     _write(script, json.dumps(rows[0]) + "\n" + '{"note": "no command"}\n')
     assert main(["session", "--script", str(script)]) == 2
+
+
+_SESSION_HEAD = json.dumps({"video_id": "v1", "caption": "A dog runs .", "lang": "en-word"})
+
+
+@pytest.mark.parametrize(
+    "lines, bad_line, needle",
+    [
+        ([_SESSION_HEAD, "", "{nope"], 3, "invalid JSON"),
+        ([_SESSION_HEAD, "", '["add"]'], 3, "expected a JSON object, got list"),
+        (
+            [_SESSION_HEAD, '{"command": {"op": "add"}, "hypothesis": 7}'],
+            2,
+            "hypothesis must be a string",
+        ),
+        (
+            [_SESSION_HEAD, '{"command": {"op": "add", "positions": [1]}, "payload": [3]}'],
+            2,
+            "payload span must be a string",
+        ),
+        (["", '{"video_id": "v1", "caption": 5}'], 2, "caption must be a string"),
+    ],
+)
+def test_cli_session_malformed_script_line_exits_two(tmp_path, capsys, lines, bad_line, needle):
+    script = _write(tmp_path / "script.jsonl", "\n".join(lines) + "\n")
+    assert main(["session", "--script", script]) == 2
+    err = capsys.readouterr().err
+    assert f"{script}:{bad_line}:" in err and needle in err
 
 
 def test_cli_construct_end_to_end(tmp_path, capsys, data_dir):

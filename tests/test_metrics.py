@@ -1,9 +1,11 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from capedit.commands import Command, CommandKind, Operation
+from capedit import kernels
+from capedit.commands import Command, CommandKind, Operation, kind
 from capedit.construction import EditSample, Provenance
 from capedit.metrics import (
     EvalConfig,
@@ -19,8 +21,8 @@ from capedit.metrics import (
 )
 from capedit.text import LanguageMode, TokenSeq, tokenize
 
-from helpers import make_sample, make_units, random_caption
-from oracles import sari_independent
+from helpers import ATTR_WORDS, CAPTION_WORDS, make_samples, make_units, random_caption
+from oracles import evaluate_corpus_two_pass, sari_independent
 
 WORD = LanguageMode.WORD
 CHAR = LanguageMode.CHAR
@@ -281,3 +283,122 @@ def test_report_table_formatting():
     assert text.endswith("\n")
     assert "100.00" in lines[1]
     assert "1.0000" in lines[1]
+
+
+# one CJK character per vocabulary word, so a word-mode sample maps
+# token for token onto a char-mode one with the same command
+_TO_CHAR = {
+    w: chr(0x4E00 + i) for i, w in enumerate(CAPTION_WORDS + ATTR_WORDS + (".",))
+}
+
+
+def _char_seq(seq: TokenSeq) -> TokenSeq:
+    return TokenSeq(tuple(_TO_CHAR[t] for t in seq.tokens), CHAR)
+
+
+def _char_sample(sample: EditSample) -> EditSample:
+    cmd = sample.command
+    attrs = cmd.attributes
+    if attrs is not None:
+        attrs = tuple(tuple(_TO_CHAR[t] for t in p) for p in attrs)
+    payload = sample.payload
+    if payload is not None:
+        payload = tuple(tuple(_TO_CHAR[t] for t in p) for p in payload)
+    return replace(
+        sample,
+        mode=CHAR,
+        command=Command(cmd.op, cmd.positions, attrs),
+        reference=_char_seq(sample.reference),
+        ground_truth=_char_seq(sample.ground_truth),
+        payload=payload,
+    )
+
+
+def _random_hypothesis(rng: random.Random, sample: EditSample) -> TokenSeq:
+    gt = list(sample.ground_truth.tokens)
+    ref = list(sample.reference.tokens)
+    pool = sorted(set(gt + ref))
+    shape = rng.randrange(6)
+    if shape == 0:
+        toks = gt
+    elif shape == 1:
+        toks = ref
+    elif shape == 2:
+        toks = []
+    elif shape == 3:  # repeated n-grams
+        cut = rng.randint(1, len(gt))
+        toks = gt[:cut] + gt[:cut] + gt[cut:]
+    elif shape == 4:  # few distinct tokens, many repeats
+        few = rng.sample(pool, min(2, len(pool)))
+        toks = [rng.choice(few) for _ in range(rng.randint(1, 12))]
+    else:
+        toks = list(gt)
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randint(0, len(toks))
+            op = rng.randrange(3)
+            if op == 0:
+                toks.insert(at, rng.choice(pool))
+            elif toks and at < len(toks):
+                if op == 1:
+                    del toks[at]
+                else:
+                    toks[at] = rng.choice(pool)
+    return TokenSeq(tuple(toks), sample.mode)
+
+
+def _random_units(rng: random.Random, mode: LanguageMode, per_kind: int) -> list[EvalUnit]:
+    units = []
+    for sample in make_samples(rng, per_kind):
+        if mode is CHAR:
+            sample = _char_sample(sample)
+        sample = replace(
+            sample,
+            ppl=rng.choice((None, rng.uniform(1.0, 200.0))),
+            emscore=rng.choice((None, rng.random())),
+        )
+        units.append(EvalUnit(sample, _random_hypothesis(rng, sample)))
+    return units
+
+
+@pytest.mark.parametrize("mode", [WORD, CHAR])
+@pytest.mark.parametrize(
+    "config",
+    [
+        EvalConfig(),
+        EvalConfig(delta=3),
+        EvalConfig(length_target_ratio=1.3, length_target_tolerance=0.25),
+    ],
+)
+def test_evaluate_corpus_matches_two_pass_oracle(mode, config):
+    rng = random.Random(f"{mode.value}-{config}")
+    for _ in range(4):
+        units = _random_units(rng, mode, rng.randint(1, 12))
+        want = evaluate_corpus_two_pass(units, config).to_dict()
+        assert len(want["per_kind"]) == 7
+        assert evaluate_corpus(units, config).to_dict() == want
+        shuffled = list(units)
+        rng.shuffle(shuffled)
+        assert evaluate_corpus(shuffled, config).to_dict() == want
+
+
+def test_evaluate_corpus_scores_each_unit_once(monkeypatch):
+    calls = {"lcs_length": 0, "dsa_ops": 0}
+
+    def counted(name):
+        original = getattr(kernels, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kernels, name, counted(name))
+    units = make_units(random.Random(73), 5)
+    evaluate_corpus(units)
+    positional = sum(
+        kind(u.sample.command) in (CommandKind.ADD_POS, CommandKind.ADD_POS_ATTR)
+        for u in units
+    )
+    assert calls == {"lcs_length": len(units), "dsa_ops": positional}
