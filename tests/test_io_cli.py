@@ -117,15 +117,15 @@ def test_dataset_reader_validation(tmp_path):
         (_record(command={"op": "add", "positions": ["x"]}), "bad command positions"),
         (_record(command={"op": "del", "positions": [[0, None]]}), "bad command positions"),
         (_record(command={"op": "del", "positions": [3]}), "bad command positions"),
+        (_record(reference=7), "reference must be a string"),
+        (_record(ground_truth=["a", "b"]), "ground_truth must be a string"),
+        (_record(command={"op": "add", "attributes": [1]}), "attribute must be a string"),
         (_record(command={"op": "add", "positions": [1.7]}), "bad command positions"),
         (_record(command={"op": "add", "positions": [True]}), "bad command positions"),
         (_record(command={"op": "add", "positions": ["1"]}), "bad command positions"),
         (_record(command={"op": "del", "positions": [[0, 1.7]]}), "bad command positions"),
         (_record(command={"op": "del", "positions": [[True, 1]]}), "bad command positions"),
         (_record(command="add"), "bad command operation"),
-        (_record(reference=7), "reference must be a string"),
-        (_record(ground_truth=["a", "b"]), "ground_truth must be a string"),
-        (_record(command={"op": "add", "attributes": [1]}), "attribute must be a string"),
     ],
 )
 def test_cli_malformed_dataset_record_exits_two(tmp_path, capsys, bad, needle):
