@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from capedit import kernels
 from capedit.commands import MASK_TOKEN, PositionedReference
-from capedit.text import TokenSeq, normalized_tokens
+from capedit.text import TokenSeq, normalize, normalized_tokens
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,9 @@ def dsa_align(posref: PositionedReference, hyp: TokenSeq) -> AlignmentResult:
         raise ValueError(
             f"language mode mismatch: {posref.mode.value} vs {hyp.mode.value}"
         )
-    lower = posref.mode.value == "en-word"
     ref: list[str | None] = [
-        None if t == MASK_TOKEN else (t.lower() if lower else t)
-        for t in posref.tokens
+        None if raw == MASK_TOKEN else t
+        for raw, t in zip(posref.tokens, normalize(posref.tokens, posref.mode))
     ]
     cost, ops = kernels.dsa_ops(ref, normalized_tokens(hyp))
     pairs = []

@@ -24,7 +24,6 @@ from capedit.commands import (
 )
 from capedit.construction import (
     ConstructionConfig,
-    ParseAnnotation,
     construct_corpus,
     corpus_stats,
     split_by_video,
@@ -77,19 +76,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             data = json.load(fh)
         config = ConstructionConfig.from_dict(data)
         split_spec = data.get("split")
-    parses = {}
-    if args.parses:
-        dep = cio.read_conllu(args.parses)
-        srl = cio.read_srl(args.srl) if args.srl else {}
-        for cid, tokens in dep.items():
-            vid, _, idx = cid.rpartition("#")
-            if not vid or not idx.isdigit():
-                raise DatasetError(
-                    f"sent_id {cid!r} is not of the form <video_id>#<caption_index>"
-                )
-            parses[(vid, int(idx))] = ParseAnnotation(
-                int(idx), tokens, srl.get(cid, ())
-            )
+    parses = cio.read_parses(args.parses, args.srl) if args.parses else {}
     neighbors = cio.read_neighbors(args.neighbors) if args.neighbors else None
     ppl_by_caption = cio.read_ppl(args.ppl) if args.ppl else None
     ppl = None
@@ -97,11 +84,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         by_id = {g.video_id: g for g in groups}
         ppl = {}
         for cid, value in ppl_by_caption.items():
-            vid, _, idx = cid.rpartition("#")
-            group = by_id.get(vid)
-            if group is None or not idx.isdigit() or int(idx) >= len(group.captions):
+            key = cio._split_caption_id(cid)
+            group = by_id.get(key[0]) if key else None
+            if group is None or key[1] >= len(group.captions):
                 raise DatasetError(f"perplexity entry for unknown caption {cid!r}")
-            ppl[(vid, detokenize(group.captions[int(idx)]))] = value
+            ppl[(group.video_id, detokenize(group.captions[key[1]]))] = value
     samples = construct_corpus(
         groups, parses, config, seed=args.seed, neighbors=neighbors, ppl=ppl
     )
@@ -236,13 +223,10 @@ def _cmd_session(args: argparse.Namespace) -> int:
     for lineno, step in lines[1:]:
         if "command" not in step:
             raise DatasetError(f"{args.script}:{lineno}: round without a command")
-        cmd = cio._command_from_wire(step["command"], True, args.script, lineno, mode)
+        cmd = cio._command_from_wire(step["command"], args.script, lineno, mode)
         payload = step.get("payload")
         if payload is not None:
-            payload = tuple(
-                cio._tokenize(s, mode, "payload span", args.script, lineno).tokens
-                for s in payload
-            )
+            payload = cio._payload_from_wire(payload, mode, args.script, lineno)
         hyp = step.get("hypothesis")
         hypothesis = (
             cio._tokenize(hyp, mode, "hypothesis", args.script, lineno)

@@ -37,7 +37,7 @@ from capedit.commands import (
     make_positioned_reference,
 )
 from capedit.errors import DatasetError
-from capedit.text import LanguageMode, TokenSeq, normalized_tokens
+from capedit.text import LanguageMode, TokenSeq, find_phrase, normalized_tokens
 
 # function words ignored by the caption-pool similarity measure
 STOPWORDS = frozenset(
@@ -444,19 +444,14 @@ def degrade(
     return results
 
 
-def _contains_phrase(hay: tuple[str, ...], phrase: tuple[str, ...]) -> bool:
-    n = len(phrase)
-    return any(hay[i : i + n] == phrase for i in range(len(hay) - n + 1))
-
-
 def _contains_all_attrs(cap: TokenSeq, attrs) -> bool:
     hay = normalized_tokens(cap)
-    return all(_contains_phrase(hay, tuple(p)) for p in attrs)
+    return all(find_phrase(hay, tuple(p)) >= 0 for p in attrs)
 
 
 def _contains_any_attr(cap: TokenSeq, attrs) -> bool:
     hay = normalized_tokens(cap)
-    return any(_contains_phrase(hay, tuple(p)) for p in attrs)
+    return any(find_phrase(hay, tuple(p)) >= 0 for p in attrs)
 
 
 def make_attribute_samples(

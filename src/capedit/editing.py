@@ -22,7 +22,7 @@ from capedit.commands import (
     make_positioned_reference,
 )
 from capedit.errors import OracleError
-from capedit.text import PUNCT_CHARS, LanguageMode, TokenSeq, normalized_tokens
+from capedit.text import PUNCT_CHARS, TokenSeq, find_phrase, normalize
 
 # sentence-final punctuation preserved by append/truncate rules
 _TRAILING_PUNCT = PUNCT_CHARS | {"。", "！", "？"}
@@ -32,20 +32,6 @@ Payload = tuple[tuple[str, ...], ...]
 
 def _has_trailing_punct(tokens: tuple[str, ...]) -> bool:
     return bool(tokens) and len(tokens[-1]) == 1 and tokens[-1] in _TRAILING_PUNCT
-
-
-def _find_sublist(haystack: list[str], needle: tuple[str, ...]) -> int:
-    n = len(needle)
-    for i in range(len(haystack) - n + 1):
-        if tuple(haystack[i : i + n]) == needle:
-            return i
-    return -1
-
-
-def _normalize(tokens, mode: LanguageMode) -> list[str]:
-    if mode is LanguageMode.WORD:
-        return [t.lower() for t in tokens]
-    return list(tokens)
 
 
 def _attr_blocks(cmd: Command, gap_count: int) -> list[list[str]]:
@@ -139,12 +125,12 @@ def oracle_apply(
         return TokenSeq(tuple(toks), ref.mode)
 
     if k is CommandKind.DEL_ATTR:
-        phrases = [tuple(_normalize(p, ref.mode)) for p in cmd.attributes]
+        phrases = [normalize(p, ref.mode) for p in cmd.attributes]
         changed = True
         while changed:
             changed = False
             for phrase in phrases:
-                idx = _find_sublist(_normalize(toks, ref.mode), phrase)
+                idx = find_phrase(normalize(toks, ref.mode), phrase)
                 if idx >= 0:
                     del toks[idx : idx + len(phrase)]
                     changed = True

@@ -25,6 +25,7 @@ from capedit.construction import (
     CaptionGroup,
     DepToken,
     EditSample,
+    ParseAnnotation,
     Provenance,
     SrlFrame,
 )
@@ -68,7 +69,33 @@ def _json_int(value) -> int:
     return value
 
 
-def _command_from_wire(data: dict, op_required: bool, path: str, lineno: int, mode: LanguageMode) -> Command:
+def _int_field(record: dict, key: str, path: str, lineno: int) -> int:
+    value = _require(record, key, path, lineno)
+    try:
+        return _json_int(value)
+    except TypeError:
+        raise DatasetError(f"{path}:{lineno}: {key} must be an integer, got {value!r}") from None
+
+
+def _split_caption_id(cid: str) -> tuple[str, int] | None:
+    """(video_id, caption_index) from "<video_id>#<caption_index>", or
+    None when cid is not of that form."""
+    vid, _, idx = cid.rpartition("#")
+    if not vid or not idx.isdecimal():
+        return None
+    return vid, int(idx)
+
+
+def _payload_from_wire(
+    value, mode: LanguageMode, path: str, lineno: int
+) -> tuple[tuple[str, ...], ...]:
+    """A payload: a list of strings, one token span each."""
+    if not isinstance(value, list):
+        raise DatasetError(f"{path}:{lineno}: payload must be a list of strings, got {value!r}")
+    return tuple(_tokenize(span, mode, "payload span", path, lineno).tokens for span in value)
+
+
+def _command_from_wire(data: dict, path: str, lineno: int, mode: LanguageMode) -> Command:
     try:
         op = Operation(data["op"])
     except (KeyError, TypeError, ValueError):
@@ -114,9 +141,7 @@ def sample_from_wire(record: dict, path: str = "<memory>", lineno: int = 0) -> E
         mode = LanguageMode.from_wire(_require(record, "lang", path, lineno))
     except ValueError as exc:
         raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-    cmd = _command_from_wire(
-        _require(record, "command", path, lineno), True, path, lineno, mode
-    )
+    cmd = _command_from_wire(_require(record, "command", path, lineno), path, lineno, mode)
     reference = _tokenize(
         _require(record, "reference", path, lineno), mode, "reference", path, lineno
     )
@@ -125,9 +150,7 @@ def sample_from_wire(record: dict, path: str = "<memory>", lineno: int = 0) -> E
     )
     payload = record.get("payload")
     if payload is not None:
-        payload = tuple(
-            _tokenize(span, mode, "payload span", path, lineno).tokens for span in payload
-        )
+        payload = _payload_from_wire(payload, mode, path, lineno)
     aux = record.get("aux") or {}
     try:
         provenance = Provenance(record["provenance"]) if "provenance" in record else (
@@ -249,7 +272,7 @@ def read_conllu(path: str) -> dict[str, tuple[DepToken, ...]]:
     """CoNLL-U sentences keyed by their sent_id comment.
 
     Columns used: FORM, UPOS, HEAD (1-based, 0 = root), DEPREL.
-    sent_id is expected to be "<video_id>#<caption_index>".
+    sent_id must be of the form "<video_id>#<caption_index>".
     """
     out: dict[str, tuple[DepToken, ...]] = {}
     sent_id = None
@@ -280,6 +303,11 @@ def read_conllu(path: str) -> dict[str, tuple[DepToken, ...]]:
                 if body.startswith("sent_id"):
                     _, _, value = body.partition("=")
                     sent_id = value.strip()
+                    if _split_caption_id(sent_id) is None:
+                        raise DatasetError(
+                            f"{path}:{lineno}: sent_id {sent_id!r} is not of the form "
+                            "<video_id>#<caption_index>"
+                        )
                 continue
             cols = line.split("\t")
             if len(cols) != 10:
@@ -302,12 +330,37 @@ def read_srl(path: str) -> dict[str, tuple[SrlFrame, ...]]:
     out: dict[str, list[SrlFrame]] = {}
     for lineno, record in _iter_json_lines(path):
         cid = str(_require(record, "caption_id", path, lineno))
-        predicate = int(_require(record, "predicate", path, lineno))
-        args = []
-        for arg in _require(record, "arguments", path, lineno):
-            args.append((str(arg["label"]), int(arg["start"]), int(arg["end"])))
-        out.setdefault(cid, []).append(SrlFrame(predicate, tuple(args)))
+        predicate = _int_field(record, "predicate", path, lineno)
+        arguments = _require(record, "arguments", path, lineno)
+        if not isinstance(arguments, list) or not all(isinstance(a, dict) for a in arguments):
+            raise DatasetError(f"{path}:{lineno}: arguments must be a list of objects")
+        args = tuple(
+            (
+                str(_require(arg, "label", path, lineno)),
+                _int_field(arg, "start", path, lineno),
+                _int_field(arg, "end", path, lineno),
+            )
+            for arg in arguments
+        )
+        out.setdefault(cid, []).append(SrlFrame(predicate, args))
     return {k: tuple(v) for k, v in out.items()}
+
+
+def read_parses(
+    conllu_path: str, srl_path: str | None = None
+) -> dict[tuple[str, int], ParseAnnotation]:
+    """Parse annotations keyed by (video_id, caption_index): each CoNLL-U
+    sentence with the SRL frames recorded under its sent_id."""
+    sentences = read_conllu(conllu_path)
+    srl = read_srl(srl_path) if srl_path else {}
+    parses = {}
+    for cid, tokens in sentences.items():
+        vid, idx = _split_caption_id(cid)
+        try:
+            parses[(vid, idx)] = ParseAnnotation(idx, tokens, srl.get(cid, ()))
+        except ValueError as exc:
+            raise DatasetError(f"{conllu_path}: sentence {cid!r}: {exc}") from exc
+    return parses
 
 
 def read_neighbors(path: str) -> dict[str, list[str]]:

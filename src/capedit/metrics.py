@@ -46,7 +46,7 @@ from capedit.commands import (
     make_positioned_reference,
 )
 from capedit.construction import EditSample
-from capedit.text import TokenSeq, normalized_tokens
+from capedit.text import TokenSeq, find_phrase, normalize, normalized_tokens
 
 ROUGE_BETA = 1.2
 
@@ -83,11 +83,6 @@ def len_acc(unit: EvalUnit, config: EvalConfig | None = None) -> bool:
     return hyp_len <= ref_len - config.delta
 
 
-def _contains(hay: tuple[str, ...], phrase: tuple[str, ...]) -> bool:
-    n = len(phrase)
-    return any(hay[i : i + n] == phrase for i in range(len(hay) - n + 1))
-
-
 def attr_acc(unit: EvalUnit) -> bool | None:
     """True/False for attribute kinds, None (not applicable) otherwise."""
     k = kind(unit.sample.command)
@@ -95,13 +90,10 @@ def attr_acc(unit: EvalUnit) -> bool | None:
         return None
     hay = normalized_tokens(unit.hypothesis)
     mode = unit.hypothesis.mode
-    phrases = [
-        tuple(t.lower() for t in p) if mode.value == "en-word" else tuple(p)
-        for p in unit.sample.command.attributes
-    ]
+    phrases = [normalize(p, mode) for p in unit.sample.command.attributes]
     if unit.sample.command.op is Operation.ADD:
-        return all(_contains(hay, p) for p in phrases)
-    return not any(_contains(hay, p) for p in phrases)
+        return all(find_phrase(hay, p) >= 0 for p in phrases)
+    return not any(find_phrase(hay, p) >= 0 for p in phrases)
 
 
 def pos_acc(unit: EvalUnit) -> bool | None:

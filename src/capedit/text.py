@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from capedit import kernels
@@ -80,11 +81,25 @@ def detokenize(seq: TokenSeq) -> str:
     return joiner.join(seq.tokens)
 
 
+def normalize(tokens: Iterable[str], mode: LanguageMode) -> tuple[str, ...]:
+    """Raw tokens as compared by the metrics: lowercased in word mode."""
+    if mode is LanguageMode.WORD:
+        return tuple(t.lower() for t in tokens)
+    return tuple(tokens)
+
+
 def normalized_tokens(seq: TokenSeq) -> tuple[str, ...]:
-    """Tokens as compared by the metrics: lowercased in word mode."""
-    if seq.mode is LanguageMode.WORD:
-        return tuple(t.lower() for t in seq.tokens)
-    return seq.tokens
+    """A sequence's tokens as compared by the metrics; see normalize."""
+    return normalize(seq.tokens, seq.mode)
+
+
+def find_phrase(hay: tuple[str, ...], phrase: tuple[str, ...]) -> int:
+    """Index of the first occurrence of phrase in hay, or -1."""
+    n = len(phrase)
+    for i in range(len(hay) - n + 1):
+        if hay[i : i + n] == phrase:
+            return i
+    return -1
 
 
 def ngrams(seq: TokenSeq, n: int) -> Counter:

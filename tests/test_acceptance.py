@@ -29,7 +29,6 @@ from capedit.commands import (
 )
 from capedit.construction import (
     ConstructionConfig,
-    ParseAnnotation,
     Provenance,
     construct_corpus,
     split_by_video,
@@ -228,12 +227,9 @@ def test_acceptance_4_metric_identities(capsys):
 
 def _fixture_corpus(data_dir):
     groups = cio.read_captions(str(data_dir / "captions.jsonl"))
-    dep = cio.read_conllu(str(data_dir / "parses.conllu"))
-    srl = cio.read_srl(str(data_dir / "srl.jsonl"))
-    parses = {}
-    for cid, tokens in dep.items():
-        vid, _, idx = cid.rpartition("#")
-        parses[(vid, int(idx))] = ParseAnnotation(int(idx), tokens, srl.get(cid, ()))
+    parses = cio.read_parses(
+        str(data_dir / "parses.conllu"), str(data_dir / "srl.jsonl")
+    )
     neighbors = cio.read_neighbors(str(data_dir / "neighbors.jsonl"))
     with open(data_dir / "config.json", encoding="utf-8") as fh:
         raw = json.load(fh)

@@ -126,6 +126,7 @@ def test_dataset_reader_validation(tmp_path):
         (_record(command={"op": "del", "positions": [[0, 1.7]]}), "bad command positions"),
         (_record(command={"op": "del", "positions": [[True, 1]]}), "bad command positions"),
         (_record(command="add"), "bad command operation"),
+        (_record(command={"op": "add", "positions": [1]}, payload="big"), "payload must be a list"),
     ],
 )
 def test_cli_malformed_dataset_record_exits_two(tmp_path, capsys, bad, needle):
@@ -227,6 +228,12 @@ def test_read_srl_neighbors_ppl(data_dir):
     frames = cio.read_srl(str(data_dir / "srl.jsonl"))
     assert frames["vid1#0"][0].predicate == 8
     assert ("ARG0", 0, 4) in frames["vid1#0"][0].arguments
+    conllu = str(data_dir / "parses.conllu")
+    parses = cio.read_parses(conllu, str(data_dir / "srl.jsonl"))
+    assert list(parses) == [("vid1", 0)]
+    assert parses[("vid1", 0)].tokens == cio.read_conllu(conllu)["vid1#0"]
+    assert parses[("vid1", 0)].frames == frames["vid1#0"]
+    assert cio.read_parses(conllu)[("vid1", 0)].frames == ()
     neighbors = cio.read_neighbors(str(data_dir / "neighbors.jsonl"))
     assert neighbors == {"vid2": ["vid1"], "vid1": []}
     ppl = cio.read_ppl(str(data_dir / "ppl.jsonl"))
@@ -379,6 +386,11 @@ _SESSION_HEAD = json.dumps({"video_id": "v1", "caption": "A dog runs .", "lang":
             "payload span must be a string",
         ),
         (["", '{"video_id": "v1", "caption": 5}'], 2, "caption must be a string"),
+        (
+            [_SESSION_HEAD, '{"command": {"op": "add", "positions": [1]}, "payload": "big"}'],
+            2,
+            "payload must be a list",
+        ),
     ],
 )
 def test_cli_session_malformed_script_line_exits_two(tmp_path, capsys, lines, bad_line, needle):
@@ -428,6 +440,51 @@ def test_cli_construct_end_to_end(tmp_path, capsys, data_dir):
     first_bytes = out.read_bytes()
     assert main(argv) == 0
     assert out.read_bytes() == first_bytes
+
+
+_SRL_OK = '{"caption_id": "vid1#0", "predicate": 8, "arguments": []}\n'
+_ROOT_ROW = "1\ta\t_\tDET\t_\t_\t0\troot\t_\t_\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, where, needle",
+    [
+        ("srl.jsonl", _SRL_OK + '{"caption_id": "vid1#0", "predicate": "x", "arguments": []}',
+         "{path}:2:", "predicate must be an integer"),
+        ("srl.jsonl", _SRL_OK + '{"caption_id": "vid1#0", "predicate": 1.7, "arguments": []}',
+         "{path}:2:", "predicate must be an integer"),
+        ("srl.jsonl", _SRL_OK + '{"caption_id": "vid1#0", "predicate": 8, "arguments": '
+         '[{"start": 0, "end": 1}]}', "{path}:2:", "missing field 'label'"),
+        ("srl.jsonl", _SRL_OK + '{"caption_id": "vid1#0", "predicate": 8, "arguments": '
+         '[{"label": "ARG0", "start": "0", "end": 1}]}', "{path}:2:", "start must be an integer"),
+        ("srl.jsonl", _SRL_OK + '{"caption_id": "vid1#0", "predicate": 8, "arguments": "ARG0"}',
+         "{path}:2:", "arguments must be a list of objects"),
+        ("srl.jsonl", _SRL_OK + '{"caption_id": "vid1#0", "predicate": 8, "arguments": [1]}',
+         "{path}:2:", "arguments must be a list of objects"),
+        ("parses.conllu", "\n# sent_id = vid1-0\n" + _ROOT_ROW,
+         "{path}:2:", "is not of the form <video_id>#<caption_index>"),
+        ("parses.conllu", "# sent_id = vid1#0\n" + _ROOT_ROW + _ROOT_ROW.replace("1\ta", "2\tb"),
+         "{path}: sentence 'vid1#0'", "exactly one root"),
+    ],
+    ids=[
+        "srl-predicate-string", "srl-predicate-float", "srl-argument-without-label",
+        "srl-start-string", "srl-arguments-string", "srl-arguments-not-objects",
+        "conllu-bad-sent-id", "conllu-two-roots",
+    ],
+)
+def test_cli_malformed_annotation_exits_two(tmp_path, capsys, data_dir, name, text, where, needle):
+    inputs = {n: str(data_dir / n) for n in ("parses.conllu", "srl.jsonl")}
+    inputs[name] = path = _write(tmp_path / name, text + "\n")
+    argv = [
+        "construct",
+        "--captions", str(data_dir / "captions.jsonl"),
+        "--parses", inputs["parses.conllu"],
+        "--srl", inputs["srl.jsonl"],
+        "--out", str(tmp_path / "corpus.jsonl"),
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert where.format(path=path) in err and needle in err
 
 
 def test_cli_construct_captions_only(tmp_path, data_dir):
