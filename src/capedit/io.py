@@ -226,9 +226,11 @@ def read_predictions(path: str) -> dict[str, str]:
     for lineno, record in _iter_json_lines(path):
         rid = str(_require(record, "id", path, lineno))
         hyp = _require(record, "hypothesis", path, lineno)
+        if not isinstance(hyp, str):
+            raise DatasetError(f"{path}:{lineno}: hypothesis must be a string, got {hyp!r}")
         if rid in out:
             raise DatasetError(f"{path}:{lineno}: duplicate prediction id {rid!r}")
-        out[rid] = str(hyp)
+        out[rid] = hyp
     return out
 
 
@@ -324,10 +326,9 @@ def read_conllu(path: str) -> dict[str, tuple[DepToken, ...]]:
     return out
 
 
-def read_srl(path: str) -> dict[str, tuple[SrlFrame, ...]]:
-    """SRL frames: {"caption_id": ..., "predicate": int,
-    "arguments": [{"label": ..., "start": int, "end": int}]}."""
-    out: dict[str, list[SrlFrame]] = {}
+def _read_srl_frames(path: str) -> dict[str, list[tuple[int, SrlFrame]]]:
+    """SRL frames by caption id, each with the line it was read from."""
+    out: dict[str, list[tuple[int, SrlFrame]]] = {}
     for lineno, record in _iter_json_lines(path):
         cid = str(_require(record, "caption_id", path, lineno))
         predicate = _int_field(record, "predicate", path, lineno)
@@ -342,24 +343,59 @@ def read_srl(path: str) -> dict[str, tuple[SrlFrame, ...]]:
             )
             for arg in arguments
         )
-        out.setdefault(cid, []).append(SrlFrame(predicate, args))
-    return {k: tuple(v) for k, v in out.items()}
+        out.setdefault(cid, []).append((lineno, SrlFrame(predicate, args)))
+    return out
+
+
+def read_srl(path: str) -> dict[str, tuple[SrlFrame, ...]]:
+    """SRL frames: {"caption_id": ..., "predicate": int,
+    "arguments": [{"label": ..., "start": int, "end": int}]}."""
+    return {
+        cid: tuple(frame for _, frame in frames)
+        for cid, frames in _read_srl_frames(path).items()
+    }
+
+
+def _check_srl_frame(frame: SrlFrame, cid: str, n: int, path: str, lineno: int) -> None:
+    """The predicate is a token of the n-token caption and each argument
+    a [start, end) span inside it."""
+    if not 0 <= frame.predicate < n:
+        raise DatasetError(
+            f"{path}:{lineno}: predicate {frame.predicate} is outside caption {cid!r} "
+            f"({n} tokens)"
+        )
+    for label, start, end in frame.arguments:
+        if start > end:
+            raise DatasetError(
+                f"{path}:{lineno}: argument {label!r} starts after it ends ({start} > {end})"
+            )
+        if start < 0 or end > n:
+            raise DatasetError(
+                f"{path}:{lineno}: argument {label!r} span [{start}, {end}) is outside "
+                f"caption {cid!r} ({n} tokens)"
+            )
 
 
 def read_parses(
     conllu_path: str, srl_path: str | None = None
 ) -> dict[tuple[str, int], ParseAnnotation]:
     """Parse annotations keyed by (video_id, caption_index): each CoNLL-U
-    sentence with the SRL frames recorded under its sent_id."""
+    sentence with the SRL frames recorded under its sent_id, whose spans
+    must lie inside the sentence."""
     sentences = read_conllu(conllu_path)
-    srl = read_srl(srl_path) if srl_path else {}
+    srl = _read_srl_frames(srl_path) if srl_path else {}
     parses = {}
     for cid, tokens in sentences.items():
         vid, idx = _split_caption_id(cid)
+        frames = srl.get(cid, ())
         try:
-            parses[(vid, idx)] = ParseAnnotation(idx, tokens, srl.get(cid, ()))
+            parses[(vid, idx)] = ParseAnnotation(
+                idx, tokens, tuple(frame for _, frame in frames)
+            )
         except ValueError as exc:
             raise DatasetError(f"{conllu_path}: sentence {cid!r}: {exc}") from exc
+        for lineno, frame in frames:
+            _check_srl_frame(frame, cid, len(tokens), srl_path, lineno)
     return parses
 
 

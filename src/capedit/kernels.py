@@ -1,8 +1,23 @@
-"""Dynamic-programming kernels: edit distance, LCS and the aligner.
+"""Sequence kernels: edit distance, LCS and the aligner.
 
-Callers pass token sequences; interning to integer ids happens here so
-the DP loops only ever compare ints.  The aligner takes -1 (_MASK) for
-mask slots.
+Callers pass token sequences; interning to dense integer ids happens
+here, so the kernels only ever compare ints and can index a list by id.
+
+Edit distance and LCS are bit-parallel: one Python int holds a whole
+DP column of the longer sequence as a bit vector, so a pair costs
+O(n * ceil(m / w)) word operations (w = the int digit width) with no
+blocking, since Python ints have arbitrary width.
+  - edit distance: G. Myers, "A fast bit-vector algorithm for
+    approximate string matching based on dynamic programming",
+    JACM 46(3), 1999, in the formulation of H. Hyyro, 2001;
+  - LCS: L. Allison and T. I. Dix, "A bit-string
+    longest-common-subsequence algorithm", IPL 23(5), 1986, in the
+    formulation of H. Hyyro, "Bit-parallel LCS-length computation
+    revisited", 2004.
+
+The aligner stays a full-table DP: it must read back one alignment
+under a fixed tie-break, which needs every cell.  It takes -1 (_MASK)
+for mask slots.
 """
 
 from __future__ import annotations
@@ -54,42 +69,71 @@ def dsa_ops(ref: Sequence[str | None], hyp: Sequence[str]) -> tuple[int, list[tu
     return _dsa(x, y)
 
 
+def _match_masks(a: list[int], size: int) -> list[int]:
+    """Bit i of masks[t] is set when a[i] == t, for every id t < size.
+
+    _intern numbers tokens densely from 0, so every id of a pair is
+    below the pair's total length.
+    """
+    masks = [0] * size
+    bit = 1
+    for t in a:
+        masks[t] |= bit
+        bit <<= 1
+    return masks
+
+
 def _levenshtein(a: list[int], b: list[int]) -> int:
+    """Myers' bit-vector edit distance, in Hyyro's formulation.
+
+    Column j of the DP over the longer sequence a is held as two bit
+    vectors of vertical deltas, pv (+1) and mv (-1); the score is the
+    bottom cell, which moves with the top bit of the horizontal deltas.
+    """
     if len(a) < len(b):
         a, b = b, a
-    m = len(b)
-    prev = list(range(m + 1))
-    cur = [0] * (m + 1)
-    for i in range(1, len(a) + 1):
-        ai = a[i - 1]
-        cur[0] = i
-        for j in range(1, m + 1):
-            best = prev[j - 1] + (ai != b[j - 1])
-            if prev[j] + 1 < best:
-                best = prev[j] + 1
-            if cur[j - 1] + 1 < best:
-                best = cur[j - 1] + 1
-            cur[j] = best
-        prev, cur = cur, prev
-    return prev[m]
+    m = len(a)
+    if not b:
+        return m
+    peq = _match_masks(a, m + len(b))
+    mask = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv = mask
+    mv = 0
+    score = m
+    for t in b:
+        eq = peq[t]
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (mask ^ (xh | pv))
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def _lcs(a: list[int], b: list[int]) -> int:
+    """Allison-Dix / Hyyro bit-vector LCS over the longer sequence a.
+
+    After each token of b, bit i of v is 0 exactly where the LCS of
+    a[:i + 1] with the prefix of b read so far exceeds that of a[:i],
+    so the zero bits count the LCS.
+    """
     if len(a) < len(b):
         a, b = b, a
-    m = len(b)
-    prev = [0] * (m + 1)
-    cur = [0] * (m + 1)
-    for i in range(1, len(a) + 1):
-        ai = a[i - 1]
-        for j in range(1, m + 1):
-            if ai == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = prev[j] if prev[j] >= cur[j - 1] else cur[j - 1]
-        prev, cur = cur, prev
-        cur[0] = 0
-    return prev[m]
+    if not b:
+        return 0
+    peq = _match_masks(a, len(a) + len(b))
+    v = mask = (1 << len(a)) - 1
+    for t in b:
+        u = v & peq[t]
+        v = ((v + u) | (v - u)) & mask
+    return len(a) - v.bit_count()
 
 
 def _dsa(x: list[int], y: list[int]) -> tuple[int, list[tuple]]:

@@ -226,7 +226,7 @@ def rouge_l_score(hypothesis: tuple[str, ...], truth: tuple[str, ...]) -> float:
     """ROUGE-L F-measure with beta = 1.2; 0 when either side is empty."""
     if not hypothesis or not truth:
         return 0.0
-    lcs = kernels.lcs_length(list(hypothesis), list(truth))
+    lcs = kernels.lcs_length(hypothesis, truth)
     precision = lcs / len(hypothesis)
     recall = lcs / len(truth)
     denom = recall + ROUGE_BETA**2 * precision

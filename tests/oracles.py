@@ -1,12 +1,13 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the library's code paths: plain recursion for
-edit distance, subsequence enumeration for LCS, exhaustive monotone
-alignment enumeration (iterative deepening) for the aligner, a
-list-based multiset calculator for SARI, a balancer that rescans
-every donor pool with claim_kinds on every move, and a two-pass
-evaluator that rescores every unit for each report row with Counter
-arithmetic for SARI and BLEU.
+edit distance, subsequence enumeration for LCS, the cell-by-cell
+two-row DPs for both (fast enough for long random inputs),
+exhaustive monotone alignment enumeration (iterative deepening) for
+the aligner, a list-based multiset calculator for SARI, a balancer
+that rescans every donor pool with claim_kinds on every move, and a
+two-pass evaluator that rescores every unit for each report row with
+Counter arithmetic for SARI and BLEU.
 """
 
 from __future__ import annotations
@@ -62,6 +63,46 @@ def lcs_enumeration(a, b) -> int:
         if all(tok in it for tok in sub):
             best = len(sub)
     return best
+
+
+def levenshtein_dp(a, b) -> int:
+    """Unit-cost edit distance by the O(n*m) two-row DP."""
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(b)
+    prev = list(range(m + 1))
+    cur = [0] * (m + 1)
+    for i in range(1, len(a) + 1):
+        ai = a[i - 1]
+        cur[0] = i
+        for j in range(1, m + 1):
+            best = prev[j - 1] + (ai != b[j - 1])
+            if prev[j] + 1 < best:
+                best = prev[j] + 1
+            if cur[j - 1] + 1 < best:
+                best = cur[j - 1] + 1
+            cur[j] = best
+        prev, cur = cur, prev
+    return prev[m]
+
+
+def lcs_dp(a, b) -> int:
+    """LCS length by the O(n*m) two-row DP."""
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(b)
+    prev = [0] * (m + 1)
+    cur = [0] * (m + 1)
+    for i in range(1, len(a) + 1):
+        ai = a[i - 1]
+        for j in range(1, m + 1):
+            if ai == b[j - 1]:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = prev[j] if prev[j] >= cur[j - 1] else cur[j - 1]
+        prev, cur = cur, prev
+        cur[0] = 0
+    return prev[m]
 
 
 def align_oracle(x, y):

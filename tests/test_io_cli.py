@@ -290,6 +290,18 @@ def test_cli_evaluate_missing_prediction(tmp_path, capsys):
     assert "no prediction for sample id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hyp", [None, 7, ["a", "b"]], ids=["null", "number", "list"])
+def test_cli_evaluate_non_string_hypothesis_exits_two(tmp_path, capsys, hyp):
+    ds, preds = _evaluate_flow(tmp_path)
+    lines = preds.read_text(encoding="utf-8").splitlines()
+    rid = json.loads(lines[1])["id"]
+    lines[1] = json.dumps({"id": rid, "hypothesis": hyp})
+    preds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["evaluate", "--dataset", str(ds), "--predictions", str(preds)]) == 2
+    err = capsys.readouterr().err
+    assert f"{preds}:2:" in err and "hypothesis must be a string" in err
+
+
 def test_cli_reports_malformed_input(tmp_path, capsys):
     bad = _write(tmp_path / "bad.jsonl", '{"id": "a"}\n')
     preds = _write(tmp_path / "p.jsonl", "")
@@ -465,11 +477,26 @@ _ROOT_ROW = "1\ta\t_\tDET\t_\t_\t0\troot\t_\t_\n"
          "{path}:2:", "is not of the form <video_id>#<caption_index>"),
         ("parses.conllu", "# sent_id = vid1#0\n" + _ROOT_ROW + _ROOT_ROW.replace("1\ta", "2\tb"),
          "{path}: sentence 'vid1#0'", "exactly one root"),
+        ("srl.jsonl", _SRL_OK + '{"caption_id": "vid1#0", "predicate": 99, "arguments": []}',
+         "{path}:2:", "predicate 99 is outside caption 'vid1#0' (12 tokens)"),
+        ("srl.jsonl", _SRL_OK + '{"caption_id": "vid1#0", "predicate": -1, "arguments": []}',
+         "{path}:2:", "predicate -1 is outside caption"),
+        ("srl.jsonl", _SRL_OK + '{"caption_id": "vid1#0", "predicate": 8, "arguments": '
+         '[{"label": "ARG0", "start": 6, "end": 2}]}', "{path}:2:",
+         "argument 'ARG0' starts after it ends (6 > 2)"),
+        ("srl.jsonl", _SRL_OK + '{"caption_id": "vid1#0", "predicate": 8, "arguments": '
+         '[{"label": "ARG1", "start": 9, "end": 13}]}', "{path}:2:",
+         "argument 'ARG1' span [9, 13) is outside caption 'vid1#0' (12 tokens)"),
+        ("srl.jsonl", _SRL_OK + '{"caption_id": "vid1#0", "predicate": 8, "arguments": '
+         '[{"label": "ARG0", "start": -1, "end": 4}]}', "{path}:2:",
+         "argument 'ARG0' span [-1, 4) is outside caption"),
     ],
     ids=[
         "srl-predicate-string", "srl-predicate-float", "srl-argument-without-label",
         "srl-start-string", "srl-arguments-string", "srl-arguments-not-objects",
         "conllu-bad-sent-id", "conllu-two-roots",
+        "srl-predicate-past-end", "srl-predicate-negative", "srl-start-after-end",
+        "srl-end-past-caption", "srl-start-negative",
     ],
 )
 def test_cli_malformed_annotation_exits_two(tmp_path, capsys, data_dir, name, text, where, needle):

@@ -1,9 +1,16 @@
-"""The kernel facade: token interning and the aligner's edge shapes."""
+"""The kernels: the bit-parallel edit distance and LCS against the
+cell-by-cell DP oracles, the facade's interning, and the aligner's
+edge shapes."""
+
+import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capedit import kernels
-from oracles import align_oracle
+from oracles import align_oracle, lcs_dp, levenshtein_dp
 
 
 def test_facade_interning_handles_arbitrary_tokens():
@@ -43,3 +50,90 @@ def test_dsa_edge_shapes_match_oracle(ref, hyp):
         elif op[0] != kernels.OP_DEL:
             consumed.append(op[2])
     assert consumed == list(range(len(hyp)))
+
+
+def _tokens(rng, n, alphabet):
+    return [f"t{rng.randrange(alphabet)}" for _ in range(n)]
+
+
+def _check_pair(a, b):
+    """Both kernels equal their DP oracle in both argument orders."""
+    dist, lcs = levenshtein_dp(a, b), lcs_dp(a, b)
+    assert kernels.edit_distance(a, b) == kernels.edit_distance(b, a) == dist
+    assert kernels.lcs_length(a, b) == kernels.lcs_length(b, a) == lcs
+
+
+# lengths around the 30-bit int digit and the 64/128-bit word boundaries
+_LENGTHS = (0, 1, 2, 29, 30, 31, 62, 63, 64, 65, 66, 127, 128, 129)
+
+
+@pytest.mark.parametrize("alphabet", [1, 2, 5, 300])
+def test_bit_parallel_kernels_match_dp_across_lengths(alphabet):
+    rng = random.Random(alphabet)
+    for n in _LENGTHS:
+        for m in _LENGTHS:
+            _check_pair(_tokens(rng, n, alphabet), _tokens(rng, m, alphabet))
+
+
+def test_bit_parallel_kernels_match_dp_on_random_pairs():
+    rng = random.Random(7)
+    for _ in range(300):
+        alphabet = rng.choice((1, 2, 3, 8, 40, 1000))
+        a = _tokens(rng, rng.randint(0, 140), alphabet)
+        b = _tokens(rng, rng.randint(0, 140), alphabet)
+        _check_pair(a, b)
+        # a lightly edited copy: long common runs, like hypothesis vs truth
+        c = list(a)
+        for _ in range(rng.randint(0, 6)):
+            if c and rng.random() < 0.5:
+                del c[rng.randrange(len(c))]
+            else:
+                c.insert(rng.randint(0, len(c)), f"t{rng.randrange(alphabet)}")
+        _check_pair(a, c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129])
+def test_bit_parallel_kernels_on_identical_disjoint_and_reversed_inputs(n):
+    a = [f"t{i}" for i in range(n)]
+    assert kernels.edit_distance(a, a) == 0
+    assert kernels.lcs_length(a, a) == n
+    disjoint = [f"u{i}" for i in range(n)]
+    assert kernels.edit_distance(a, disjoint) == n
+    assert kernels.lcs_length(a, disjoint) == 0
+    _check_pair(a, a[::-1])
+    _check_pair(a, disjoint[: n // 2])
+    rng = random.Random(n)
+    b = _tokens(rng, n, 3)
+    _check_pair(b, b[::-1])
+
+
+def test_bit_parallel_kernels_match_dp_beyond_a_thousand_tokens():
+    rng = random.Random(11)
+    a = _tokens(rng, 1100, 20)
+    b = list(a)
+    for _ in range(80):
+        b[rng.randrange(len(b))] = f"t{rng.randrange(20)}"
+    del b[500:540]
+    _check_pair(a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.sampled_from("abcd"), max_size=80),
+    st.lists(st.sampled_from("abcd"), max_size=80),
+)
+def test_bit_parallel_kernels_are_symmetric_and_match_dp(a, b):
+    _check_pair(a, b)
+
+
+def test_bit_parallel_kernels_on_ten_thousand_tokens_within_budget():
+    # a fall-back to a cell-by-cell DP would take minutes here
+    rng = random.Random(3)
+    a = _tokens(rng, 10_000, 50)
+    b = _tokens(rng, 10_000, 50)
+    start = time.perf_counter()
+    dist = kernels.edit_distance(a, b)
+    lcs = kernels.lcs_length(a, b)
+    assert time.perf_counter() - start < 2.0
+    assert 0 < lcs < 10_000 and 10_000 - lcs <= dist <= 10_000
+    assert kernels.edit_distance(a, a) == 0 and kernels.lcs_length(a, a) == 10_000

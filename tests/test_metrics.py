@@ -17,9 +17,10 @@ from capedit.metrics import (
     len_acc,
     pos_acc,
     rouge_l_score,
+    sari,
     sari_score,
 )
-from capedit.text import LanguageMode, TokenSeq, tokenize
+from capedit.text import LanguageMode, TokenSeq, normalized_tokens, tokenize
 
 from helpers import ATTR_WORDS, CAPTION_WORDS, make_samples, make_units, random_caption
 from oracles import evaluate_corpus_two_pass, sari_independent
@@ -379,6 +380,19 @@ def test_evaluate_corpus_matches_two_pass_oracle(mode, config):
         shuffled = list(units)
         rng.shuffle(shuffled)
         assert evaluate_corpus(shuffled, config).to_dict() == want
+
+
+@pytest.mark.parametrize("mode", [WORD, CHAR])
+def test_unit_sari_matches_independent_calculator(mode):
+    units = _random_units(random.Random(f"sari-{mode.value}"), mode, 2)
+    assert len(units) >= 7
+    for unit in units:
+        want = sari_independent(
+            normalized_tokens(unit.sample.reference),
+            normalized_tokens(unit.hypothesis),
+            normalized_tokens(unit.sample.ground_truth),
+        )
+        assert abs(sari(unit) - want) < 1e-9
 
 
 def test_evaluate_corpus_scores_each_unit_once(monkeypatch):
