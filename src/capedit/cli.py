@@ -23,10 +23,11 @@ from capedit.commands import (
     serialize,
 )
 from capedit.construction import (
+    PARTITIONS,
     ConstructionConfig,
     construct_corpus,
     corpus_stats,
-    split_by_video,
+    partition_videos,
 )
 from capedit.editing import (
     Session,
@@ -36,7 +37,7 @@ from capedit.editing import (
 )
 from capedit.errors import CapeditError, DatasetError, OracleError
 from capedit.metrics import EvalConfig, EvalUnit, evaluate_corpus, format_report_table
-from capedit.text import LanguageMode, TokenSeq, detokenize, tokenize
+from capedit.text import LanguageMode, detokenize, join, tokenize
 
 ORACLE_NOTE = (
     "The rule-based editor only witnesses that commands are mechanically "
@@ -94,17 +95,17 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     )
     if not samples:
         raise DatasetError("construction produced no samples")
+    split_paths = partition = None
     if split_spec:
-        partitions = split_by_video(
+        partition = partition_videos(
             samples,
             mapping=split_spec.get("mapping"),
             ratios=tuple(split_spec.get("ratios", (0.7, 0.1, 0.2))),
             seed=split_spec.get("seed", args.seed),
         )
         stem = args.out[: -len(".jsonl")] if args.out.endswith(".jsonl") else args.out
-        for part, part_samples in partitions.items():
-            cio.write_dataset(f"{stem}.{part}.jsonl", part_samples)
-    cio.write_dataset(args.out, samples)
+        split_paths = {part: f"{stem}.{part}.jsonl" for part in PARTITIONS}
+    cio.write_dataset(args.out, samples, split_paths, partition)
     stats = corpus_stats(samples)
     with open(args.out + ".stats.json", "w", encoding="utf-8") as fh:
         json.dump(stats.to_dict(), fh, ensure_ascii=False, indent=2)
@@ -143,7 +144,7 @@ def _cmd_parse_control(args: argparse.Namespace) -> int:
                 "op": cmd.op.value,
                 "kind": kind(cmd).value,
                 "attributes": [
-                    detokenize(TokenSeq(p, mode)) for p in cmd.attributes
+                    join(p, mode) for p in cmd.attributes
                 ] if cmd.attributes else None,
                 "mask_indexes": list(posref.mask_indexes()),
                 "positioned_reference": " ".join(posref.tokens),
@@ -173,9 +174,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
         "cost": result.cost,
         "pairs": [list(p) for p in result.pairs],
         "mask_spans": [list(s) for s in result.mask_spans],
-        "mask_texts": [
-            detokenize(TokenSeq(t, mode)) for t in mask_span_tokens(result, hyp)
-        ],
+        "mask_texts": [join(t, mode) for t in mask_span_tokens(result, hyp)],
     }
     sys.stdout.write(json.dumps(record, ensure_ascii=False) + "\n")
     return 0

@@ -24,7 +24,8 @@ import enum
 import math
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 from capedit import kernels
 from capedit import text as text_mod
@@ -37,7 +38,13 @@ from capedit.commands import (
     make_positioned_reference,
 )
 from capedit.errors import DatasetError
-from capedit.text import LanguageMode, TokenSeq, find_phrase, normalized_tokens
+from capedit.text import (
+    LanguageMode,
+    TokenSeq,
+    _trusted_seq,
+    find_phrase,
+    normalized_tokens,
+)
 
 # function words ignored by the caption-pool similarity measure
 STOPWORDS = frozenset(
@@ -73,6 +80,11 @@ class CaptionGroup:
     @property
     def mode(self) -> LanguageMode:
         return self.captions[0].mode
+
+    @cached_property
+    def normalized(self) -> tuple[tuple[str, ...], ...]:
+        """Each caption's normalized tokens, computed on first use."""
+        return tuple(normalized_tokens(cap) for cap in self.captions)
 
 
 @dataclass(frozen=True)
@@ -159,6 +171,22 @@ class EditSample:
                 raise ValueError("payload is only recorded for degradation/reversal samples")
 
 
+_SAMPLE_FIELDS = tuple(f.name for f in fields(EditSample))
+
+
+def _with_id_ppl(sample: EditSample, id: str, ppl: float | None) -> EditSample:
+    """A copy of sample with a new id and ppl, without re-running the
+    checks of __post_init__: neither field takes part in them.  Fields are
+    first set one by one in field order, as __init__ sets them, so the copy
+    keeps CPython's key-sharing instance dict."""
+    new = object.__new__(EditSample)
+    for name in _SAMPLE_FIELDS:
+        object.__setattr__(new, name, getattr(sample, name))
+    object.__setattr__(new, "id", id)
+    object.__setattr__(new, "ppl", ppl)
+    return new
+
+
 @dataclass(frozen=True)
 class Degradation:
     """One removable-branch cut: attributes are the branch head words,
@@ -230,8 +258,8 @@ def build_add_length(group: CaptionGroup, min_diff: int = 5) -> list[EditSample]
 
 def _content_tokens(group: CaptionGroup) -> frozenset:
     toks = set()
-    for cap in group.captions:
-        for t in normalized_tokens(cap):
+    for hay in group.normalized:
+        for t in hay:
             if t.isalpha() and t not in STOPWORDS:
                 toks.add(t)
     return frozenset(toks)
@@ -253,21 +281,28 @@ def build_del_length(
     a similar other video, the ground truth from the current video.
 
     Similarity is Jaccard overlap of content tokens between caption
-    pools unless an explicit neighbor list is supplied.
+    pools unless an explicit neighbor list is supplied.  Jaccard is
+    symmetric, so each unordered pair of videos is scored once and the
+    score is recorded on both sides; each video's neighbors are the
+    others scoring at least the threshold, by descending score, then
+    video id.
     """
     by_id = {g.video_id: g for g in groups}
     if neighbors is None:
         pools = {g.video_id: _content_tokens(g) for g in groups}
-        neighbors = {}
-        for g in groups:
-            scored = []
-            for other in groups:
-                if other.video_id == g.video_id:
+        vids = [g.video_id for g in groups]
+        scored: list[list[tuple[float, str]]] = [[] for _ in vids]
+        for i, vid in enumerate(vids):
+            pool = pools[vid]
+            for j in range(i + 1, len(vids)):
+                other = vids[j]
+                if other == vid:
                     continue
-                sim = _jaccard(pools[g.video_id], pools[other.video_id])
+                sim = _jaccard(pool, pools[other])
                 if sim >= similarity_threshold:
-                    scored.append((-sim, other.video_id))
-            neighbors[g.video_id] = [vid for _, vid in sorted(scored)]
+                    scored[i].append((-sim, other))
+                    scored[j].append((-sim, vid))
+        neighbors = {vid: [v for _, v in sorted(s)] for vid, s in zip(vids, scored)}
     out = []
     for g in sorted(groups, key=lambda x: x.video_id):
         for vid in neighbors.get(g.video_id, []):
@@ -409,7 +444,7 @@ def degrade(
             toks.extend(caption.tokens[prev:s])
             prev = e
         toks.extend(caption.tokens[prev:])
-        return Degradation(attrs, tuple(spans_), TokenSeq(tuple(toks), caption.mode))
+        return Degradation(attrs, tuple(spans_), _trusted_seq(tuple(toks), caption.mode))
 
     results: list[Degradation] = []
     for span, head in large:
@@ -444,13 +479,11 @@ def degrade(
     return results
 
 
-def _contains_all_attrs(cap: TokenSeq, attrs) -> bool:
-    hay = normalized_tokens(cap)
+def _contains_all_attrs(hay: tuple[str, ...], attrs) -> bool:
     return all(find_phrase(hay, tuple(p)) >= 0 for p in attrs)
 
 
-def _contains_any_attr(cap: TokenSeq, attrs) -> bool:
-    hay = normalized_tokens(cap)
+def _contains_any_attr(hay: tuple[str, ...], attrs) -> bool:
     return any(find_phrase(hay, tuple(p)) >= 0 for p in attrs)
 
 
@@ -468,12 +501,15 @@ def make_attribute_samples(
     content) and add-with-attributes.  Position-free variants are
     re-targeted to another caption of the same video when one satisfies
     the attribute and length constraints; otherwise they fall back to
-    the degraded/original pair.
+    the degraded/original pair.  Captions are matched against attributes
+    by the group's normalized tokens, computed once per group.
     """
     config = config or ConstructionConfig()
     original = group.captions[caption_index]
     others = [
-        cap for i, cap in enumerate(group.captions) if i != caption_index
+        (cap, hay)
+        for i, (cap, hay) in enumerate(zip(group.captions, group.normalized))
+        if i != caption_index
     ]
     out: list[EditSample] = []
     common = dict(id="", video_id=group.video_id, mode=group.mode)
@@ -495,8 +531,8 @@ def make_attribute_samples(
         del_target = next(
             (
                 cap
-                for cap in sorted(others, key=lambda c: (abs(len(c) - len(deg.edited)),))
-                if len(cap) < len(original) and not _contains_any_attr(cap, deg.attributes)
+                for cap, hay in sorted(others, key=lambda c: (abs(len(c[0]) - len(deg.edited)),))
+                if len(cap) < len(original) and not _contains_any_attr(hay, deg.attributes)
             ),
             None,
         )
@@ -510,7 +546,7 @@ def make_attribute_samples(
                     **common,
                 )
             )
-        elif not _contains_any_attr(deg.edited, deg.attributes):
+        elif not _contains_any_attr(normalized_tokens(deg.edited), deg.attributes):
             out.append(
                 EditSample(
                     command=Command(Operation.DEL, None, deg.attributes),
@@ -542,8 +578,8 @@ def make_attribute_samples(
         add_target = next(
             (
                 cap
-                for cap in sorted(others, key=lambda c: (abs(len(c) - len(original)),))
-                if len(cap) > len(deg.edited) and _contains_all_attrs(cap, deg.attributes)
+                for cap, hay in sorted(others, key=lambda c: (abs(len(c[0]) - len(original)),))
+                if len(cap) > len(deg.edited) and _contains_all_attrs(hay, deg.attributes)
             ),
             None,
         )
@@ -732,7 +768,7 @@ def corpus_stats(samples: list[EditSample]) -> StatRecord:
 
     Lengths and edit distances are token-level over normalized tokens;
     vocabulary counts distinct normalized tokens over references and
-    ground truths."""
+    ground truths.  Each distinct sequence is normalized once."""
     if not samples:
         raise ValueError("empty corpus")
     vocab = set()
@@ -740,11 +776,18 @@ def corpus_stats(samples: list[EditSample]) -> StatRecord:
     gt_lens = []
     dists = []
     per_kind: Counter = Counter()
+    normed: dict[TokenSeq, tuple[str, ...]] = {}
+
+    def norm(seq: TokenSeq) -> tuple[str, ...]:
+        out = normed.get(seq)
+        if out is None:
+            out = normed[seq] = normalized_tokens(seq)
+            vocab.update(out)
+        return out
+
     for s in samples:
-        ref_n = normalized_tokens(s.reference)
-        gt_n = normalized_tokens(s.ground_truth)
-        vocab.update(ref_n)
-        vocab.update(gt_n)
+        ref_n = norm(s.reference)
+        gt_n = norm(s.ground_truth)
         ref_lens.append(len(ref_n))
         gt_lens.append(len(gt_n))
         dists.append(kernels.edit_distance(ref_n, gt_n))
@@ -760,54 +803,69 @@ def corpus_stats(samples: list[EditSample]) -> StatRecord:
     )
 
 
+PARTITIONS = ("train", "val", "test")
+
+
+def partition_videos(
+    samples: list[EditSample],
+    mapping: dict[str, str] | None = None,
+    ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
+    seed: int = 0,
+) -> dict[str, str]:
+    """The partition of each video of the samples, so that no video id
+    crosses partitions.
+
+    Either an explicit video->partition mapping, checked to cover every
+    video with a known partition, or (train, val, test) ratios with a
+    seed; ratio splits allocate whole videos by largest remainder after
+    a seeded shuffle."""
+    if mapping is not None:
+        for s in samples:
+            if s.video_id not in mapping:
+                raise DatasetError(f"video {s.video_id!r} missing from the split mapping")
+            if mapping[s.video_id] not in PARTITIONS:
+                raise DatasetError(
+                    f"video {s.video_id!r} mapped to unknown partition {mapping[s.video_id]!r}"
+                )
+        return mapping
+    if len(ratios) != 3 or any(r < 0 for r in ratios) or not math.isclose(sum(ratios), 1.0):
+        raise ValueError("ratios must be three non-negative numbers summing to 1")
+    videos = sorted({s.video_id for s in samples})
+    rng = random.Random(seed)
+    rng.shuffle(videos)
+    n = len(videos)
+    exact = [r * n for r in ratios]
+    counts = [int(x) for x in exact]
+    while sum(counts) < n:
+        rems = [e - c for e, c in zip(exact, counts)]
+        counts[rems.index(max(rems))] += 1
+    assign = {}
+    start = 0
+    for part, cnt in zip(PARTITIONS, counts):
+        for vid in videos[start : start + cnt]:
+            assign[vid] = part
+        start += cnt
+    return assign
+
+
 def split_by_video(
     samples: list[EditSample],
     mapping: dict[str, str] | None = None,
     ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
     seed: int = 0,
 ) -> dict[str, list[EditSample]]:
-    """Partition samples so that no video id crosses partitions.
-
-    Either an explicit video->partition mapping or (train, val, test)
-    ratios with a seed; ratio splits allocate whole videos by largest
-    remainder after a seeded shuffle."""
-    parts = ("train", "val", "test")
-    if mapping is not None:
-        for s in samples:
-            if s.video_id not in mapping:
-                raise DatasetError(f"video {s.video_id!r} missing from the split mapping")
-            if mapping[s.video_id] not in parts:
-                raise DatasetError(
-                    f"video {s.video_id!r} mapped to unknown partition {mapping[s.video_id]!r}"
-                )
-        assign = mapping
-    else:
-        if len(ratios) != 3 or any(r < 0 for r in ratios) or not math.isclose(sum(ratios), 1.0):
-            raise ValueError("ratios must be three non-negative numbers summing to 1")
-        videos = sorted({s.video_id for s in samples})
-        rng = random.Random(seed)
-        rng.shuffle(videos)
-        n = len(videos)
-        exact = [r * n for r in ratios]
-        counts = [int(x) for x in exact]
-        while sum(counts) < n:
-            rems = [e - c for e, c in zip(exact, counts)]
-            counts[rems.index(max(rems))] += 1
-        assign = {}
-        start = 0
-        for part, cnt in zip(parts, counts):
-            for vid in videos[start : start + cnt]:
-                assign[vid] = part
-            start += cnt
-    out: dict[str, list[EditSample]] = {p: [] for p in parts}
+    """The samples of each partition of partition_videos, in corpus order."""
+    assign = partition_videos(samples, mapping, ratios, seed)
+    out: dict[str, list[EditSample]] = {p: [] for p in PARTITIONS}
     for s in samples:
         out[assign[s.video_id]].append(s)
     return out
 
 
 def assign_ids(samples: list[EditSample]) -> list[EditSample]:
-    """Stable unique ids in corpus order."""
-    return [replace(s, id=f"s{i:06d}") for i, s in enumerate(samples)]
+    """Stable unique ids in corpus order.  Each sample is copied once,
+    without re-running its checks: the id takes no part in them."""
+    return [_with_id_ppl(s, f"s{i:06d}", s.ppl) for i, s in enumerate(samples)]
 
 
 def construct_corpus(
@@ -823,6 +881,10 @@ def construct_corpus(
 
     parses maps (video_id, caption_index) to annotations; ppl maps
     (video_id, detokenized caption) to ingested perplexities.
+
+    Each sample is built and checked once, by the family that creates
+    it, and again only when a balancing move changes its command.
+    Attaching a perplexity and assigning the id copy it without checks.
     """
     config = config or ConstructionConfig()
     parses = parses or {}
@@ -842,7 +904,9 @@ def construct_corpus(
     )
     if ppl:
         samples = [
-            replace(s, ppl=ppl.get((s.video_id, text_mod.detokenize(s.ground_truth)), s.ppl))
+            _with_id_ppl(
+                s, s.id, ppl.get((s.video_id, text_mod.detokenize(s.ground_truth)), s.ppl)
+            )
             for s in samples
         ]
     samples = filter_and_balance(samples, config, seed)

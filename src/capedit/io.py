@@ -18,6 +18,7 @@ byte-stable).  Errors name the file and line.
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 from typing import Iterable, TextIO
 
 from capedit.commands import Command, Operation
@@ -30,7 +31,7 @@ from capedit.construction import (
     SrlFrame,
 )
 from capedit.errors import CapeditError, DatasetError
-from capedit.text import LanguageMode, TokenSeq, detokenize, tokenize
+from capedit.text import LanguageMode, TokenSeq, detokenize, join, tokenize
 
 
 def _iter_json_lines(path: str):
@@ -67,6 +68,24 @@ def _json_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"not an integer: {value!r}")
     return value
+
+
+def _json_number(value) -> float:
+    """A JSON number (integer or float) as a float; float() would also
+    accept true and "42"."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise TypeError(f"number out of range: {value!r}") from None
+
+
+def _number_field(value, key: str, path: str, lineno: int) -> float:
+    try:
+        return _json_number(value)
+    except TypeError:
+        raise DatasetError(f"{path}:{lineno}: {key} must be a number, got {value!r}") from None
 
 
 def _int_field(record: dict, key: str, path: str, lineno: int) -> int:
@@ -128,9 +147,7 @@ def _command_to_wire(cmd: Command, mode: LanguageMode) -> dict:
         else:
             out["positions"] = [[s, e] for s, e in cmd.positions]
     if cmd.attributes is not None:
-        out["attributes"] = [
-            detokenize(TokenSeq(p, mode)) for p in cmd.attributes
-        ]
+        out["attributes"] = [join(p, mode) for p in cmd.attributes]
     return out
 
 
@@ -151,7 +168,17 @@ def sample_from_wire(record: dict, path: str = "<memory>", lineno: int = 0) -> E
     payload = record.get("payload")
     if payload is not None:
         payload = _payload_from_wire(payload, mode, path, lineno)
-    aux = record.get("aux") or {}
+    aux = record.get("aux")
+    if aux is None:
+        aux = {}
+    elif not isinstance(aux, dict):
+        raise DatasetError(f"{path}:{lineno}: aux must be an object, got {aux!r}")
+    ppl = aux.get("ppl")
+    if ppl is not None:
+        ppl = _number_field(ppl, "ppl", path, lineno)
+    emscore = aux.get("emscore")
+    if emscore is not None:
+        emscore = _number_field(emscore, "emscore", path, lineno)
     try:
         provenance = Provenance(record["provenance"]) if "provenance" in record else (
             Provenance.DEGRADATION if payload is not None and cmd.op is Operation.DEL
@@ -167,8 +194,8 @@ def sample_from_wire(record: dict, path: str = "<memory>", lineno: int = 0) -> E
             ground_truth=ground_truth,
             provenance=provenance,
             payload=payload,
-            ppl=float(aux["ppl"]) if "ppl" in aux and aux["ppl"] is not None else None,
-            emscore=float(aux["emscore"]) if "emscore" in aux and aux["emscore"] is not None else None,
+            ppl=ppl,
+            emscore=emscore,
         )
     except (ValueError, CapeditError) as exc:
         raise DatasetError(f"{path}:{lineno}: {exc}") from exc
@@ -184,9 +211,7 @@ def sample_to_wire(sample: EditSample) -> dict:
         "ground_truth": detokenize(sample.ground_truth),
     }
     if sample.payload is not None:
-        out["payload"] = [
-            detokenize(TokenSeq(span, sample.mode)) for span in sample.payload
-        ]
+        out["payload"] = [join(span, sample.mode) for span in sample.payload]
     aux = {}
     if sample.ppl is not None:
         aux["ppl"] = sample.ppl
@@ -214,10 +239,32 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
-def write_dataset(path: str, samples: Iterable[EditSample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def write_dataset(
+    path: str,
+    samples: Iterable[EditSample],
+    split_paths: dict[str, str] | None = None,
+    partition: dict[str, str] | None = None,
+) -> None:
+    """Write one record per line to path, dumping each sample once.
+
+    With split_paths (partition name -> file) and partition (video id ->
+    partition name), the same line also goes to its video's split file
+    in the same pass, so each split file holds the corpus lines of its
+    partition in corpus order; every split file is written, even an
+    empty one."""
+    if (split_paths is None) != (partition is None):
+        raise ValueError("split_paths and partition go together")
+    with ExitStack() as stack:
+        fh = stack.enter_context(open(path, "w", encoding="utf-8"))
+        split_fhs = {
+            part: stack.enter_context(open(split_path, "w", encoding="utf-8"))
+            for part, split_path in (split_paths or {}).items()
+        }
         for sample in samples:
-            fh.write(_dump(sample_to_wire(sample)) + "\n")
+            line = _dump(sample_to_wire(sample)) + "\n"
+            fh.write(line)
+            if partition is not None:
+                split_fhs[partition[sample.video_id]].write(line)
 
 
 def read_predictions(path: str) -> dict[str, str]:
@@ -405,7 +452,12 @@ def read_neighbors(path: str) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
     for lineno, record in _iter_json_lines(path):
         vid = str(_require(record, "video_id", path, lineno))
-        out[vid] = [str(v) for v in _require(record, "neighbors", path, lineno)]
+        neighbors = _require(record, "neighbors", path, lineno)
+        if not isinstance(neighbors, list) or not all(isinstance(v, str) for v in neighbors):
+            raise DatasetError(
+                f"{path}:{lineno}: neighbors must be a list of strings, got {neighbors!r}"
+            )
+        out[vid] = neighbors
     return out
 
 
@@ -414,5 +466,5 @@ def read_ppl(path: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for lineno, record in _iter_json_lines(path):
         cid = str(_require(record, "caption_id", path, lineno))
-        out[cid] = float(_require(record, "ppl", path, lineno))
+        out[cid] = _number_field(_require(record, "ppl", path, lineno), "ppl", path, lineno)
     return out

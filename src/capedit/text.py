@@ -53,6 +53,16 @@ class TokenSeq:
         return iter(self.tokens)
 
 
+def _trusted_seq(tokens: tuple[str, ...], mode: LanguageMode) -> TokenSeq:
+    """A TokenSeq without the token check, for tokens that cannot fail it:
+    the output of str.split() or of an isspace() filter (they agree on
+    every code point), or a slice of an existing sequence's tokens."""
+    seq = object.__new__(TokenSeq)
+    object.__setattr__(seq, "tokens", tokens)
+    object.__setattr__(seq, "mode", mode)
+    return seq
+
+
 def _split_punct(chunk: str) -> list[str]:
     # Leading/trailing punctuation becomes separate single-char tokens;
     # internal hyphens/apostrophes stay attached ("girl's" is one token).
@@ -72,13 +82,17 @@ def tokenize(text: str, mode: LanguageMode) -> TokenSeq:
         toks: list[str] = []
         for chunk in text.split():
             toks.extend(_split_punct(chunk))
-        return TokenSeq(tuple(toks), mode)
-    return TokenSeq(tuple(ch for ch in text if not ch.isspace()), mode)
+        return _trusted_seq(tuple(toks), mode)
+    return _trusted_seq(tuple(ch for ch in text if not ch.isspace()), mode)
+
+
+def join(tokens: Iterable[str], mode: LanguageMode) -> str:
+    """Tokens as text: space-separated in word mode, concatenated in char mode."""
+    return (" " if mode is LanguageMode.WORD else "").join(tokens)
 
 
 def detokenize(seq: TokenSeq) -> str:
-    joiner = " " if seq.mode is LanguageMode.WORD else ""
-    return joiner.join(seq.tokens)
+    return join(seq.tokens, seq.mode)
 
 
 def normalize(tokens: Iterable[str], mode: LanguageMode) -> tuple[str, ...]:

@@ -5,7 +5,8 @@ edit distance, subsequence enumeration for LCS, the cell-by-cell
 two-row DPs for both (fast enough for long random inputs),
 exhaustive monotone alignment enumeration (iterative deepening) for
 the aligner, a list-based multiset calculator for SARI, a balancer
-that rescans every donor pool with claim_kinds on every move, and a
+that rescans every donor pool with claim_kinds on every move, a
+similarity join that scores every ordered pair of videos, and a
 two-pass evaluator that rescores every unit for each report row with
 Counter arithmetic for SARI and BLEU.
 """
@@ -18,7 +19,13 @@ from collections import Counter
 
 from capedit import text as text_mod
 from capedit.commands import KIND_LABELS, KIND_ORDER, CommandKind, kind
-from capedit.construction import ConstructionConfig, _reassign, claim_kinds
+from capedit.construction import (
+    ConstructionConfig,
+    _content_tokens,
+    _jaccard,
+    _reassign,
+    claim_kinds,
+)
 from capedit.metrics import (
     EvalConfig,
     MetricReport,
@@ -287,6 +294,25 @@ def filter_and_balance_rescan(samples, config=None, seed: int = 0) -> list:
                 pools[k] = [pools[k][i] for i in keep_idx]
 
     return [s for k in KIND_ORDER for s in pools[k]]
+
+
+def neighbors_all_pairs(groups, similarity_threshold: float) -> dict:
+    """construction.build_del_length's similarity neighbors, scoring every
+    ordered pair of videos: for each video, the others whose Jaccard
+    similarity is at least the threshold, by descending similarity, then
+    video id."""
+    pools = {g.video_id: _content_tokens(g) for g in groups}
+    neighbors = {}
+    for g in groups:
+        scored = []
+        for other in groups:
+            if other.video_id == g.video_id:
+                continue
+            sim = _jaccard(pools[g.video_id], pools[other.video_id])
+            if sim >= similarity_threshold:
+                scored.append((-sim, other.video_id))
+        neighbors[g.video_id] = [vid for _, vid in sorted(scored)]
+    return neighbors
 
 
 def _grams(tokens, n: int) -> Counter:

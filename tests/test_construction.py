@@ -30,7 +30,7 @@ from capedit.errors import CommandError, DatasetError
 from capedit.text import LanguageMode, TokenSeq, detokenize, tokenize
 
 from helpers import make_sample, make_samples
-from oracles import filter_and_balance_rescan
+from oracles import filter_and_balance_rescan, neighbors_all_pairs
 
 WORD = LanguageMode.WORD
 
@@ -186,6 +186,49 @@ def test_build_del_length_with_explicit_neighbors():
     assert all(s.ground_truth == gc.captions[1] for s in samples)
     with pytest.raises(DatasetError):
         build_del_length([ga], min_diff=2, neighbors={"vidA": ["missing"]})
+
+
+def _random_pools(rng: random.Random) -> list[CaptionGroup]:
+    """Videos drawing content words from a small vocabulary, so that
+    similarities tie; each caption starts with its video's id, which is
+    not a content token but keeps references of different videos apart."""
+    words = ("dog", "cat", "ball", "park", "grass", "runs")
+    ids = [f"v{i}" for i in range(rng.randrange(2, 12))]
+    if rng.random() < 0.2:
+        ids.append(rng.choice(ids))  # a repeated video id
+    rng.shuffle(ids)
+    return [
+        CaptionGroup(
+            vid,
+            tuple(
+                T(f"{vid} the " + " ".join(rng.choices(words, k=rng.randrange(1, 5))) + " .")
+                for _ in range(rng.randrange(1, 3))
+            ),
+        )
+        for vid in ids
+    ]
+
+
+def test_build_del_length_matches_all_pairs_oracle():
+    at_threshold = ties = 0
+    for case in range(60):
+        rng = random.Random(case)
+        groups = _random_pools(rng)
+        pools = [construction._content_tokens(g) for g in groups]
+        sims = [construction._jaccard(a, b) for a in pools for b in pools]
+        threshold = rng.choice(sims)  # some pair scores exactly the threshold
+        expected = neighbors_all_pairs(groups, threshold)
+        # min_diff -1000 keeps every (reference, truth) pair, so the
+        # samples list every neighbor in order
+        assert build_del_length(groups, -1000, threshold) == build_del_length(
+            groups, -1000, threshold, neighbors=expected
+        ), f"case {case}"
+        pool_of = {g.video_id: p for g, p in zip(groups, pools)}
+        for vid, nbrs in expected.items():
+            scores = [construction._jaccard(pool_of[vid], pool_of[n]) for n in nbrs]
+            at_threshold += threshold in scores
+            ties += len(set(scores)) < len(scores)
+    assert at_threshold and ties
 
 
 def test_degrade_girls_caption():
@@ -594,6 +637,28 @@ def test_balancing_computes_each_claim_set_once(monkeypatch):
     assert not claims and not moves
 
 
+def test_construct_corpus_checks_each_sample_once(monkeypatch):
+    checks = _counting(monkeypatch, "make_positioned_reference")
+    moves = _counting(monkeypatch, "_reassign")
+    built = []
+    inner = construction.filter_and_balance
+
+    def counted(samples, *args):
+        built.append(len(samples))
+        return inner(samples, *args)
+
+    monkeypatch.setattr(construction, "filter_and_balance", counted)
+    groups, parses, neighbors = _construct_fixture()
+    ppl = {("vid1", detokenize(GIRLS)): 42.0}
+    config = ConstructionConfig(balance_tolerance=0)
+    samples = construct_corpus(groups, parses, config, neighbors=neighbors, ppl=ppl)
+    assert samples and moves
+    # once per family-built sample, plus once per balancing move; the
+    # perplexity and id copies are not checked again
+    assert len(checks) == built[0] + len(moves)
+    assert any(s.ppl == 42.0 for s in samples)
+
+
 def test_corpus_stats():
     s1 = EditSample(
         id="a", video_id="v", mode=WORD,
@@ -655,8 +720,12 @@ def test_split_by_video_mapping_and_validation():
 
 def test_assign_ids():
     rng = random.Random(17)
-    samples = assign_ids(make_samples(rng, 3, kinds=(CommandKind.ADD_LEN,)))
+    before = make_samples(rng, 3, kinds=(CommandKind.ADD_LEN,))
+    samples = assign_ids(before)
     assert [s.id for s in samples] == ["s000000", "s000001", "s000002"]
+    assert samples == [replace(s, id=f"s{i:06d}") for i, s in enumerate(before)]
+    # the copy sets its fields in field order, as __init__ does
+    assert list(vars(samples[0])) == list(vars(before[0]))
 
 
 def _construct_fixture():

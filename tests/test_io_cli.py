@@ -127,6 +127,11 @@ def test_dataset_reader_validation(tmp_path):
         (_record(command={"op": "del", "positions": [[True, 1]]}), "bad command positions"),
         (_record(command="add"), "bad command operation"),
         (_record(command={"op": "add", "positions": [1]}, payload="big"), "payload must be a list"),
+        (_record(aux={"ppl": [1]}), "ppl must be a number, got [1]"),
+        (_record(aux=5), "aux must be an object, got 5"),
+        (_record(aux={"ppl": "42"}), "ppl must be a number, got '42'"),
+        (_record(aux={"emscore": True}), "emscore must be a number, got True"),
+        (_record(aux={"ppl": 10**400}), "ppl must be a number, got 1000"),
     ],
 )
 def test_cli_malformed_dataset_record_exits_two(tmp_path, capsys, bad, needle):
@@ -135,6 +140,30 @@ def test_cli_malformed_dataset_record_exits_two(tmp_path, capsys, bad, needle):
     assert main(["stats", "--dataset", path]) == 2
     err = capsys.readouterr().err
     assert f"{path}:2:" in err and needle in err
+
+
+def test_dataset_numbers_read_as_floats(tmp_path):
+    path = _write(
+        tmp_path / "aux.jsonl",
+        "\n".join(
+            json.dumps(r)
+            for r in (
+                _record(id="a", aux={"ppl": 3, "emscore": 0.5}),
+                _record(id="b", aux=None),
+                _record(id="c", aux={"ppl": None}),
+            )
+        )
+        + "\n",
+    )
+    a, b, c = cio.read_dataset(path)
+    assert (a.ppl, a.emscore) == (3.0, 0.5) and type(a.ppl) is float
+    assert (b.ppl, b.emscore) == (None, None) == (c.ppl, c.emscore)
+
+    ppl = _write(
+        tmp_path / "ppl.jsonl",
+        '{"caption_id": "v#0", "ppl": 7}\n{"caption_id": "v#1", "ppl": 2.5}\n',
+    )
+    assert cio.read_ppl(ppl) == {"v#0": 7.0, "v#1": 2.5}
 
 
 def test_provenance_defaults_when_absent(tmp_path):
@@ -490,6 +519,19 @@ _ROOT_ROW = "1\ta\t_\tDET\t_\t_\t0\troot\t_\t_\n"
         ("srl.jsonl", _SRL_OK + '{"caption_id": "vid1#0", "predicate": 8, "arguments": '
          '[{"label": "ARG0", "start": -1, "end": 4}]}', "{path}:2:",
          "argument 'ARG0' span [-1, 4) is outside caption"),
+        ("ppl.jsonl", '{"caption_id": "vid1#0", "ppl": "abc"}',
+         "{path}:1:", "ppl must be a number, got 'abc'"),
+        ("ppl.jsonl", '{"caption_id": "vid1#0", "ppl": 42.0}\n{"caption_id": "vid1#1", "ppl": "42"}',
+         "{path}:2:", "ppl must be a number, got '42'"),
+        ("ppl.jsonl", '{"caption_id": "vid1#0", "ppl": true}',
+         "{path}:1:", "ppl must be a number, got True"),
+        ("neighbors.jsonl", '{"video_id": "vid1", "neighbors": 5}',
+         "{path}:1:", "neighbors must be a list of strings, got 5"),
+        ("neighbors.jsonl", '{"video_id": "vid1", "neighbors": []}\n'
+         '{"video_id": "vid1", "neighbors": "vid2"}',
+         "{path}:2:", "neighbors must be a list of strings, got 'vid2'"),
+        ("neighbors.jsonl", '{"video_id": "vid1", "neighbors": [1]}',
+         "{path}:1:", "neighbors must be a list of strings, got [1]"),
     ],
     ids=[
         "srl-predicate-string", "srl-predicate-float", "srl-argument-without-label",
@@ -497,21 +539,89 @@ _ROOT_ROW = "1\ta\t_\tDET\t_\t_\t0\troot\t_\t_\n"
         "conllu-bad-sent-id", "conllu-two-roots",
         "srl-predicate-past-end", "srl-predicate-negative", "srl-start-after-end",
         "srl-end-past-caption", "srl-start-negative",
+        "ppl-string", "ppl-numeric-string", "ppl-bool",
+        "neighbors-number", "neighbors-string", "neighbors-not-strings",
     ],
 )
 def test_cli_malformed_annotation_exits_two(tmp_path, capsys, data_dir, name, text, where, needle):
-    inputs = {n: str(data_dir / n) for n in ("parses.conllu", "srl.jsonl")}
+    inputs = {
+        n: str(data_dir / n)
+        for n in ("parses.conllu", "srl.jsonl", "neighbors.jsonl", "ppl.jsonl")
+    }
     inputs[name] = path = _write(tmp_path / name, text + "\n")
     argv = [
         "construct",
         "--captions", str(data_dir / "captions.jsonl"),
         "--parses", inputs["parses.conllu"],
         "--srl", inputs["srl.jsonl"],
+        "--neighbors", inputs["neighbors.jsonl"],
+        "--ppl", inputs["ppl.jsonl"],
         "--out", str(tmp_path / "corpus.jsonl"),
     ]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert where.format(path=path) in err and needle in err
+
+
+def _construct_argv(data_dir, out, config) -> list[str]:
+    return [
+        "construct",
+        "--captions", str(data_dir / "captions.jsonl"),
+        "--parses", str(data_dir / "parses.conllu"),
+        "--srl", str(data_dir / "srl.jsonl"),
+        "--neighbors", str(data_dir / "neighbors.jsonl"),
+        "--ppl", str(data_dir / "ppl.jsonl"),
+        "--config", config,
+        "--out", str(out),
+    ]
+
+
+@pytest.mark.parametrize(
+    "split",
+    [
+        {"ratios": [0.5, 0.25, 0.25], "seed": 1},
+        {"mapping": {"vid1": "train", "vid2": "test"}},  # val stays empty
+    ],
+    ids=["ratios", "mapping-with-empty-partition"],
+)
+def test_cli_construct_split_files_are_filtered_corpus_lines(tmp_path, data_dir, split):
+    config = _write(tmp_path / "config.json", json.dumps({"split": split}))
+    out = tmp_path / "corpus.jsonl"
+    assert main(_construct_argv(data_dir, out, config)) == 0
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    videos = {json.loads(line)["video_id"] for line in lines}
+    assert len(videos) == 2
+    seen = []
+    for part in ("train", "val", "test"):
+        part_text = (tmp_path / f"corpus.{part}.jsonl").read_text(encoding="utf-8")
+        part_lines = part_text.splitlines(keepends=True)
+        part_videos = {json.loads(line)["video_id"] for line in part_lines}
+        # the corpus lines of the partition's videos, in corpus order
+        assert part_lines == [
+            line for line in lines if json.loads(line)["video_id"] in part_videos
+        ]
+        seen.extend(part_lines)
+        if "mapping" in split:
+            assert part_videos == {v for v, p in split["mapping"].items() if p == part}
+    assert sorted(seen) == sorted(lines)
+    if "mapping" in split:
+        assert (tmp_path / "corpus.val.jsonl").read_bytes() == b""
+
+
+def test_cli_construct_serializes_each_record_once(tmp_path, data_dir, monkeypatch):
+    calls = []
+    inner = cio.sample_to_wire
+
+    def counted(sample):
+        calls.append(sample.id)
+        return inner(sample)
+
+    monkeypatch.setattr(cio, "sample_to_wire", counted)
+    out = tmp_path / "corpus.jsonl"
+    assert main(_construct_argv(data_dir, out, str(data_dir / "config.json"))) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert calls == [json.loads(line)["id"] for line in lines]
+    assert all((tmp_path / f"corpus.{p}.jsonl").exists() for p in ("train", "val", "test"))
 
 
 def test_cli_construct_captions_only(tmp_path, data_dir):

@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from capedit.text import (
+    PUNCT_CHARS,
     LanguageMode,
     TokenSeq,
     detokenize,
@@ -68,6 +70,34 @@ def test_token_seq_rejects_bad_tokens():
         TokenSeq(("a", ""), WORD)
     with pytest.raises(ValueError):
         TokenSeq(("a b",), WORD)
+
+
+SPACE_CHARS = tuple(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
+
+
+def test_str_split_and_isspace_agree():
+    # tokenize skips TokenSeq's whitespace check on this agreement
+    assert len(SPACE_CHARS) == 29
+    assert ("x" + "x".join(SPACE_CHARS) + "x").split() == ["x"] * 30
+    non_space = "".join(
+        ch for ch in map(chr, range(sys.maxunicode + 1)) if not ch.isspace()
+    )
+    assert non_space.split() == [non_space]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.text(
+        alphabet=st.sampled_from(
+            SPACE_CHARS + tuple(sorted(PUNCT_CHARS)) + ("a", "B", "狗", "-", "é")
+        ),
+        max_size=40,
+    ),
+    st.sampled_from(list(LanguageMode)),
+)
+def test_tokenize_output_passes_the_public_check(text, mode):
+    seq = tokenize(text, mode)
+    assert TokenSeq(seq.tokens, mode) == seq
 
 
 def test_normalized_tokens():
