@@ -208,9 +208,9 @@ def _cmd_session(args: argparse.Namespace) -> int:
     if not lines:
         raise DatasetError(f"{args.script}: empty session script")
     head_lineno, head = lines[0]
+    video_id = cio._str_field(head, "video_id", args.script, head_lineno)
     try:
         mode = LanguageMode.from_wire(head.get("lang", "en-word"))
-        video_id = str(head["video_id"])
         caption = head["caption"]
     except (KeyError, ValueError) as exc:
         raise DatasetError(

@@ -57,6 +57,15 @@ def _require(record: dict, key: str, path: str, lineno: int):
     return record[key]
 
 
+def _str_field(record: dict, key: str, path: str, lineno: int) -> str:
+    """A required JSON string field; str() would turn null into "None"
+    and 7 into "7"."""
+    value = _require(record, key, path, lineno)
+    if not isinstance(value, str):
+        raise DatasetError(f"{path}:{lineno}: {key} must be a string, got {value!r}")
+    return value
+
+
 def _tokenize(value, mode: LanguageMode, what: str, path: str, lineno: int) -> TokenSeq:
     if not isinstance(value, str):
         raise DatasetError(f"{path}:{lineno}: {what} must be a string, got {value!r}")
@@ -152,8 +161,8 @@ def _command_to_wire(cmd: Command, mode: LanguageMode) -> dict:
 
 
 def sample_from_wire(record: dict, path: str = "<memory>", lineno: int = 0) -> EditSample:
-    rid = str(_require(record, "id", path, lineno))
-    video_id = str(_require(record, "video_id", path, lineno))
+    rid = _str_field(record, "id", path, lineno)
+    video_id = _str_field(record, "video_id", path, lineno)
     try:
         mode = LanguageMode.from_wire(_require(record, "lang", path, lineno))
     except ValueError as exc:
@@ -271,7 +280,7 @@ def read_predictions(path: str) -> dict[str, str]:
     """Prediction records: {"id": ..., "hypothesis": "..."}."""
     out: dict[str, str] = {}
     for lineno, record in _iter_json_lines(path):
-        rid = str(_require(record, "id", path, lineno))
+        rid = _str_field(record, "id", path, lineno)
         hyp = _require(record, "hypothesis", path, lineno)
         if not isinstance(hyp, str):
             raise DatasetError(f"{path}:{lineno}: hypothesis must be a string, got {hyp!r}")
@@ -298,7 +307,7 @@ def read_captions(path: str) -> list[CaptionGroup]:
     groups = []
     seen = set()
     for lineno, record in _iter_json_lines(path):
-        vid = str(_require(record, "video_id", path, lineno))
+        vid = _str_field(record, "video_id", path, lineno)
         if vid in seen:
             raise DatasetError(f"{path}:{lineno}: duplicate video id {vid!r}")
         seen.add(vid)
@@ -307,6 +316,10 @@ def read_captions(path: str) -> list[CaptionGroup]:
         except ValueError as exc:
             raise DatasetError(f"{path}:{lineno}: {exc}") from exc
         captions = _require(record, "captions", path, lineno)
+        if not isinstance(captions, list):
+            raise DatasetError(
+                f"{path}:{lineno}: captions must be a list of strings, got {captions!r}"
+            )
         if not captions:
             raise DatasetError(f"{path}:{lineno}: empty caption list")
         groups.append(
@@ -317,28 +330,24 @@ def read_captions(path: str) -> list[CaptionGroup]:
     return groups
 
 
-def read_conllu(path: str) -> dict[str, tuple[DepToken, ...]]:
-    """CoNLL-U sentences keyed by their sent_id comment.
-
-    Columns used: FORM, UPOS, HEAD (1-based, 0 = root), DEPREL.
-    sent_id must be of the form "<video_id>#<caption_index>".
-    """
-    out: dict[str, tuple[DepToken, ...]] = {}
+def _read_conllu_sentences(path: str) -> dict[str, tuple[int, tuple[DepToken, ...]]]:
+    """CoNLL-U sentences by sent_id, each with its first line."""
+    out: dict[str, tuple[int, tuple[DepToken, ...]]] = {}
     sent_id = None
+    start = 0
     tokens: list[DepToken] = []
 
     def flush(lineno: int) -> None:
-        nonlocal sent_id, tokens
-        if not tokens:
-            sent_id = None
-            return
-        if sent_id is None:
-            raise DatasetError(f"{path}:{lineno}: sentence without a sent_id comment")
-        if sent_id in out:
-            raise DatasetError(f"{path}:{lineno}: duplicate sent_id {sent_id!r}")
-        out[sent_id] = tuple(tokens)
+        nonlocal sent_id, start, tokens
+        if tokens:
+            if sent_id is None:
+                raise DatasetError(f"{path}:{lineno}: sentence without a sent_id comment")
+            if sent_id in out:
+                raise DatasetError(f"{path}:{lineno}: duplicate sent_id {sent_id!r}")
+            out[sent_id] = (start, tuple(tokens))
+            tokens = []
         sent_id = None
-        tokens = []
+        start = 0
 
     with open(path, encoding="utf-8") as fh:
         lineno = 0
@@ -347,6 +356,8 @@ def read_conllu(path: str) -> dict[str, tuple[DepToken, ...]]:
             if not line.strip():
                 flush(lineno)
                 continue
+            if not start:
+                start = lineno
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("sent_id"):
@@ -373,18 +384,27 @@ def read_conllu(path: str) -> dict[str, tuple[DepToken, ...]]:
     return out
 
 
+def read_conllu(path: str) -> dict[str, tuple[DepToken, ...]]:
+    """CoNLL-U sentences keyed by their sent_id comment.
+
+    Columns used: FORM, UPOS, HEAD (1-based, 0 = root), DEPREL.
+    sent_id must be of the form "<video_id>#<caption_index>".
+    """
+    return {sid: tokens for sid, (_, tokens) in _read_conllu_sentences(path).items()}
+
+
 def _read_srl_frames(path: str) -> dict[str, list[tuple[int, SrlFrame]]]:
     """SRL frames by caption id, each with the line it was read from."""
     out: dict[str, list[tuple[int, SrlFrame]]] = {}
     for lineno, record in _iter_json_lines(path):
-        cid = str(_require(record, "caption_id", path, lineno))
+        cid = _str_field(record, "caption_id", path, lineno)
         predicate = _int_field(record, "predicate", path, lineno)
         arguments = _require(record, "arguments", path, lineno)
         if not isinstance(arguments, list) or not all(isinstance(a, dict) for a in arguments):
             raise DatasetError(f"{path}:{lineno}: arguments must be a list of objects")
         args = tuple(
             (
-                str(_require(arg, "label", path, lineno)),
+                _str_field(arg, "label", path, lineno),
                 _int_field(arg, "start", path, lineno),
                 _int_field(arg, "end", path, lineno),
             )
@@ -428,11 +448,12 @@ def read_parses(
 ) -> dict[tuple[str, int], ParseAnnotation]:
     """Parse annotations keyed by (video_id, caption_index): each CoNLL-U
     sentence with the SRL frames recorded under its sent_id, whose spans
-    must lie inside the sentence."""
-    sentences = read_conllu(conllu_path)
+    must lie inside the sentence.  An invalid tree is reported at the
+    sentence's first line."""
+    sentences = _read_conllu_sentences(conllu_path)
     srl = _read_srl_frames(srl_path) if srl_path else {}
     parses = {}
-    for cid, tokens in sentences.items():
+    for cid, (start, tokens) in sentences.items():
         vid, idx = _split_caption_id(cid)
         frames = srl.get(cid, ())
         try:
@@ -440,7 +461,7 @@ def read_parses(
                 idx, tokens, tuple(frame for _, frame in frames)
             )
         except ValueError as exc:
-            raise DatasetError(f"{conllu_path}: sentence {cid!r}: {exc}") from exc
+            raise DatasetError(f"{conllu_path}:{start}: sentence {cid!r}: {exc}") from exc
         for lineno, frame in frames:
             _check_srl_frame(frame, cid, len(tokens), srl_path, lineno)
     return parses
@@ -451,7 +472,7 @@ def read_neighbors(path: str) -> dict[str, list[str]]:
     {"video_id": ..., "neighbors": [...]}."""
     out: dict[str, list[str]] = {}
     for lineno, record in _iter_json_lines(path):
-        vid = str(_require(record, "video_id", path, lineno))
+        vid = _str_field(record, "video_id", path, lineno)
         neighbors = _require(record, "neighbors", path, lineno)
         if not isinstance(neighbors, list) or not all(isinstance(v, str) for v in neighbors):
             raise DatasetError(
@@ -465,6 +486,6 @@ def read_ppl(path: str) -> dict[str, float]:
     """Per-caption perplexities: {"caption_id": ..., "ppl": float}."""
     out: dict[str, float] = {}
     for lineno, record in _iter_json_lines(path):
-        cid = str(_require(record, "caption_id", path, lineno))
+        cid = _str_field(record, "caption_id", path, lineno)
         out[cid] = _number_field(_require(record, "ppl", path, lineno), "ppl", path, lineno)
     return out

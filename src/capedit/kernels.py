@@ -15,9 +15,13 @@ blocking, since Python ints have arbitrary width.
     formulation of H. Hyyro, "Bit-parallel LCS-length computation
     revisited", 2004.
 
-The aligner stays a full-table DP: it must read back one alignment
-under a fixed tie-break, which needs every cell.  It takes -1 (_MASK)
-for mask slots.
+The aligner must read back one alignment under a fixed tie-break,
+which needs every cell of its table.  It keeps every cell as row
+deltas: each row is its last cell plus two bit vectors, the +1 and -1
+steps between neighbouring cells, computed by the same Myers step (a
+token row) or as a running minimum over the set bits (a mask row), so
+the table holds 2 * (n + 1) * m bits.  It takes -1 (_MASK) for mask
+slots.
 """
 
 from __future__ import annotations
@@ -137,7 +141,8 @@ def _lcs(a: list[int], b: list[int]) -> int:
 
 
 def _dsa(x: list[int], y: list[int]) -> tuple[int, list[tuple]]:
-    """Align a mask-bearing reference x against a hypothesis y.
+    """Align a mask-bearing reference x against a hypothesis y, both
+    interned densely from 0 as in dsa_ops.
 
     Masks (id -1) absorb a contiguous, possibly empty run of hypothesis
     tokens at zero cost; match costs 0, substitution / deletion /
@@ -148,63 +153,88 @@ def _dsa(x: list[int], y: list[int]) -> tuple[int, list[tuple]]:
     Tie-break among minimum-cost alignments, applied greedily from the
     left: longest mask absorption first, then match, substitution,
     deletion, insertion.
+
+    The suffix table S[i][j] (min cost aligning x[i:] with y[j:]) is
+    kept row by row as E[i] = S[i][m] and two bit vectors over the
+    reversed hypothesis: bit m-1-j of P[i] is set when
+    S[i][j] - S[i][j+1] is +1, of M[i] when it is -1.  Every delta of
+    every row is in {-1, 0, +1}, so a token row is one Myers / Hyyro
+    step (see _levenshtein) with a +1 top boundary, and a mask row,
+    the running minimum of the row below it, keeps each -1 step that
+    reaches a new low.  A cell is E[i] plus the deltas below its bit.
     """
     n, m = len(x), len(y)
-    w = m + 1
-    # suffix costs: S[i*w + j] = min cost aligning x[i:] with y[j:]
-    S = [0] * ((n + 1) * w)
-    base = n * w
-    for j in range(m + 1):
-        S[base + j] = m - j
+    peq = _match_masks(y[::-1], n + m)
+    mask = (1 << m) - 1
+    E = [0] * (n + 1)
+    P = [0] * (n + 1)
+    M = [0] * (n + 1)
+    e, pv, mv = 0, mask, 0  # row n: S[n][j] = m - j
+    P[n] = pv
     for i in range(n - 1, -1, -1):
         xi = x[i]
-        row = i * w
-        nxt = row + w
         if xi == _MASK:
-            S[row + m] = S[nxt + m]
-            for j in range(m - 1, -1, -1):
-                a = S[nxt + j]
-                b = S[row + j + 1]
-                S[row + j] = a if a < b else b
+            level = low = 0
+            steps = pv | mv
+            keep = 0
+            while steps:
+                bit = steps & -steps
+                steps ^= bit
+                if bit & mv:
+                    level -= 1
+                    if level < low:
+                        low = level
+                        keep |= bit
+                else:
+                    level += 1
+            pv, mv = 0, keep
         else:
-            S[row + m] = S[nxt + m] + 1
-            for j in range(m - 1, -1, -1):
-                best = S[nxt + j + 1] + (xi != y[j])
-                alt = S[nxt + j] + 1
-                if alt < best:
-                    best = alt
-                alt = S[row + j + 1] + 1
-                if alt < best:
-                    best = alt
-                S[row + j] = best
+            e += 1
+            eq = peq[xi]
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | (mask ^ (xh | pv))
+            mh = pv & xh
+            ph = (ph << 1) | 1
+            pv = ((mh << 1) | ~(xv | ph)) & mask
+            mv = ph & xv
+        E[i] = e
+        P[i] = pv
+        M[i] = mv
 
     ops: list[tuple] = []
     i = j = 0
     while i < n or j < m:
-        cur = S[i * w + j]
+        low = (1 << (m - j)) - 1  # the steps right of column j
+        cur = E[i] + (P[i] & low).bit_count() - (M[i] & low).bit_count()
+        if i < n:
+            e, pv, mv = E[i + 1], P[i + 1], M[i + 1]
         if i < n and x[i] == _MASK:
-            nxt = (i + 1) * w
             for k in range(m - j, -1, -1):
-                if S[nxt + j + k] == cur:
+                part = (1 << (m - j - k)) - 1
+                if e + (pv & part).bit_count() - (mv & part).bit_count() == cur:
                     ops.append((OP_MASK, i, j, j + k))
                     i += 1
                     j += k
                     break
             continue
-        if i < n and j < m and x[i] == y[j] and S[(i + 1) * w + j + 1] == cur:
-            ops.append((OP_MATCH, i, j))
-            i += 1
-            j += 1
-            continue
-        if i < n and j < m and S[(i + 1) * w + j + 1] + 1 == cur:
-            ops.append((OP_SUB, i, j))
-            i += 1
-            j += 1
-            continue
-        if i < n and S[(i + 1) * w + j] + 1 == cur:
+        if i < n and j < m:
+            part = low >> 1
+            diag = e + (pv & part).bit_count() - (mv & part).bit_count()
+            if x[i] == y[j] and diag == cur:
+                ops.append((OP_MATCH, i, j))
+                i += 1
+                j += 1
+                continue
+            if diag + 1 == cur:
+                ops.append((OP_SUB, i, j))
+                i += 1
+                j += 1
+                continue
+        if i < n and e + (pv & low).bit_count() - (mv & low).bit_count() + 1 == cur:
             ops.append((OP_DEL, i))
             i += 1
             continue
         ops.append((OP_INS, j))
         j += 1
-    return S[0], ops
+    return E[0] + P[0].bit_count() - M[0].bit_count(), ops

@@ -21,7 +21,8 @@ record of sufficient statistics (hits, SARI, ROUGE-L, lengths, BLEU's
 clipped matches and n-gram totals per order, ppl, EMScore), which is
 added to its kind's sums and to the overall sums; every report row is
 built from such sums.  SARI and BLEU share one n-gram count per
-sequence and order, kept in plain dicts.  Integer counts sum exactly
+sequence and order, held as sets of int-keyed occurrences whose
+intersections give every statistic.  Integer counts sum exactly
 and the float means use math.fsum, which is correctly rounded, so
 neither shuffling the corpus nor grouping it by kind changes a
 reported number.
@@ -30,6 +31,7 @@ reported number.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -121,11 +123,15 @@ class _Overlap(NamedTuple):
     cg: int  # |C & G|: BLEU's clipped matches
 
 
-def _counts(tokens: tuple[str, ...], n: int) -> dict:
-    """Multiplicity of each n-gram; unigrams are keyed by the token itself."""
-    out: dict = {}
-    for gram in tokens if n == 1 else zip(*(tokens[i:] for i in range(n))):
-        out[gram] = out.get(gram, 0) + 1
+def _occurrences(keys: list[int], span: int) -> set[int]:
+    """The multiset keys as a set: the k-th repeat of key g (every key
+    is below span) becomes g + k * span, so that min(s, c) of two
+    multiplicities is the size of the intersection."""
+    out = set(keys)
+    if len(out) < len(keys):
+        for g, count in Counter(keys).items():
+            if count > 1:
+                out.update(range(g + span, g + count * span, span))
     return out
 
 
@@ -133,43 +139,32 @@ def _overlap_counts(
     source: tuple[str, ...], hypothesis: tuple[str, ...], truth: tuple[str, ...]
 ) -> list[_Overlap]:
     """The integer statistics SARI and BLEU are built from, per order
-    n = 1..4.  Each sequence's n-grams are counted once; one loop over
-    S's keys and one over C's give every intersection through min/max
-    identities, e.g. |(S - C) & (S - G)| sums max(s - max(c, g), 0)."""
+    n = 1..4.  The three sequences are interned into dense ids once; an
+    order-n n-gram over v distinct tokens is the int key
+    id_1 * v^(n-1) + ... + id_n.  With each multiset held as a set of
+    occurrences (see _occurrences), |S & C|, |S & G|, |S & C & G| and
+    |C & G| are sizes of set intersections, and inclusion-exclusion
+    gives the rest: |(S - C) & (S - G)| = |S| - |S & C| - |S & G| +
+    |S & C & G| and |(C - S) & (G - S)| = |C & G| - |S & C & G|."""
+    ids: dict[str, int] = {}
+    seqs = [[ids.setdefault(t, len(ids)) for t in seq] for seq in (source, hypothesis, truth)]
+    v = len(ids)
+    keys = seqs
+    span = v
     out = []
     for n in range(1, 5):
-        s = _counts(source, n)
-        c = _counts(hypothesis, n)
-        g = _counts(truth, n)
-        sc = sg = scg = deleted = 0
-        for gram, sk in s.items():
-            ck = c.get(gram, 0)
-            gk = g.get(gram, 0)
-            kept_c = sk if sk < ck else ck
-            kept_g = sk if sk < gk else gk
-            sc += kept_c
-            sg += kept_g
-            if kept_c < kept_g:
-                scg += kept_c
-                deleted += sk - kept_g
-            else:
-                scg += kept_g
-                deleted += sk - kept_c
-        cg = added = 0
-        for gram, ck in c.items():
-            gk = g.get(gram)
-            if gk:
-                both = ck if ck < gk else gk
-                cg += both
-                sk = s.get(gram, 0)
-                if both > sk:
-                    added += both - sk
+        if n > 1:
+            keys = [[g * v + t for g, t in zip(k, seq[n - 1 :])] for k, seq in zip(keys, seqs)]
+            span *= v
+        s, c, g = (_occurrences(k, span) for k in keys)
+        sc = s & c
+        sg = len(s & g)
+        scg = len(sc & g)
+        cg = len(c & g)
         out.append(
             _Overlap(
-                max(len(source) - n + 1, 0),
-                max(len(hypothesis) - n + 1, 0),
-                max(len(truth) - n + 1, 0),
-                sc, sg, scg, deleted, added, cg,
+                len(s), len(c), len(g),
+                len(sc), sg, scg, len(s) - len(sc) - sg + scg, cg - scg, cg,
             )
         )
     return out

@@ -6,9 +6,10 @@ two-row DPs for both (fast enough for long random inputs),
 exhaustive monotone alignment enumeration (iterative deepening) for
 the aligner, a list-based multiset calculator for SARI, a balancer
 that rescans every donor pool with claim_kinds on every move, a
-similarity join that scores every ordered pair of videos, and a
+similarity join that scores every ordered pair of videos, a
 two-pass evaluator that rescores every unit for each report row with
-Counter arithmetic for SARI and BLEU.
+Counter arithmetic for SARI and BLEU, the aligner as a full-table DP,
+and the SARI/BLEU overlap counts from per-order dict counts.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ from capedit.construction import (
     _reassign,
     claim_kinds,
 )
+from capedit.kernels import _MASK, OP_DEL, OP_INS, OP_MASK, OP_MATCH, OP_SUB
 from capedit.metrics import (
     EvalConfig,
     MetricReport,
     MetricRow,
+    _Overlap,
     attr_acc,
     len_acc,
     pos_acc,
@@ -433,3 +436,133 @@ def evaluate_corpus_two_pass(units, config=None) -> MetricReport:
         if k in by_kind
     )
     return MetricReport(rows, _two_pass_row("overall", "Overall", units, config))
+
+
+def dsa_full_table(x: list[int], y: list[int]) -> tuple[int, list[tuple]]:
+    """kernels._dsa as a full-table DP: align a mask-bearing reference x
+    against a hypothesis y.
+
+    Masks (id -1) absorb a contiguous, possibly empty run of hypothesis
+    tokens at zero cost; match costs 0, substitution / deletion /
+    insertion cost 1.  Returns (cost, ops) with ops in forward order:
+    (OP_MATCH, i, j), (OP_SUB, i, j), (OP_DEL, i), (OP_INS, j),
+    (OP_MASK, i, js, je) meaning the mask at x[i] absorbed y[js:je].
+
+    Tie-break among minimum-cost alignments, applied greedily from the
+    left: longest mask absorption first, then match, substitution,
+    deletion, insertion.
+    """
+    n, m = len(x), len(y)
+    w = m + 1
+    # suffix costs: S[i*w + j] = min cost aligning x[i:] with y[j:]
+    S = [0] * ((n + 1) * w)
+    base = n * w
+    for j in range(m + 1):
+        S[base + j] = m - j
+    for i in range(n - 1, -1, -1):
+        xi = x[i]
+        row = i * w
+        nxt = row + w
+        if xi == _MASK:
+            S[row + m] = S[nxt + m]
+            for j in range(m - 1, -1, -1):
+                a = S[nxt + j]
+                b = S[row + j + 1]
+                S[row + j] = a if a < b else b
+        else:
+            S[row + m] = S[nxt + m] + 1
+            for j in range(m - 1, -1, -1):
+                best = S[nxt + j + 1] + (xi != y[j])
+                alt = S[nxt + j] + 1
+                if alt < best:
+                    best = alt
+                alt = S[row + j + 1] + 1
+                if alt < best:
+                    best = alt
+                S[row + j] = best
+
+    ops: list[tuple] = []
+    i = j = 0
+    while i < n or j < m:
+        cur = S[i * w + j]
+        if i < n and x[i] == _MASK:
+            nxt = (i + 1) * w
+            for k in range(m - j, -1, -1):
+                if S[nxt + j + k] == cur:
+                    ops.append((OP_MASK, i, j, j + k))
+                    i += 1
+                    j += k
+                    break
+            continue
+        if i < n and j < m and x[i] == y[j] and S[(i + 1) * w + j + 1] == cur:
+            ops.append((OP_MATCH, i, j))
+            i += 1
+            j += 1
+            continue
+        if i < n and j < m and S[(i + 1) * w + j + 1] + 1 == cur:
+            ops.append((OP_SUB, i, j))
+            i += 1
+            j += 1
+            continue
+        if i < n and S[(i + 1) * w + j] + 1 == cur:
+            ops.append((OP_DEL, i))
+            i += 1
+            continue
+        ops.append((OP_INS, j))
+        j += 1
+    return S[0], ops
+
+
+def _counts(tokens: tuple[str, ...], n: int) -> dict:
+    """Multiplicity of each n-gram; unigrams are keyed by the token itself."""
+    out: dict = {}
+    for gram in tokens if n == 1 else zip(*(tokens[i:] for i in range(n))):
+        out[gram] = out.get(gram, 0) + 1
+    return out
+
+
+def overlap_counts_dicts(
+    source: tuple[str, ...], hypothesis: tuple[str, ...], truth: tuple[str, ...]
+) -> list[_Overlap]:
+    """metrics._overlap_counts with dict counts: the integer statistics
+    SARI and BLEU are built from, per order n = 1..4.  Each sequence's
+    n-grams are counted once; one loop over S's keys and one over C's
+    give every intersection through min/max identities, e.g.
+    |(S - C) & (S - G)| sums max(s - max(c, g), 0)."""
+    out = []
+    for n in range(1, 5):
+        s = _counts(source, n)
+        c = _counts(hypothesis, n)
+        g = _counts(truth, n)
+        sc = sg = scg = deleted = 0
+        for gram, sk in s.items():
+            ck = c.get(gram, 0)
+            gk = g.get(gram, 0)
+            kept_c = sk if sk < ck else ck
+            kept_g = sk if sk < gk else gk
+            sc += kept_c
+            sg += kept_g
+            if kept_c < kept_g:
+                scg += kept_c
+                deleted += sk - kept_g
+            else:
+                scg += kept_g
+                deleted += sk - kept_c
+        cg = added = 0
+        for gram, ck in c.items():
+            gk = g.get(gram)
+            if gk:
+                both = ck if ck < gk else gk
+                cg += both
+                sk = s.get(gram, 0)
+                if both > sk:
+                    added += both - sk
+        out.append(
+            _Overlap(
+                max(len(source) - n + 1, 0),
+                max(len(hypothesis) - n + 1, 0),
+                max(len(truth) - n + 1, 0),
+                sc, sg, scg, deleted, added, cg,
+            )
+        )
+    return out

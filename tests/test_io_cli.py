@@ -132,6 +132,8 @@ def test_dataset_reader_validation(tmp_path):
         (_record(aux={"ppl": "42"}), "ppl must be a number, got '42'"),
         (_record(aux={"emscore": True}), "emscore must be a number, got True"),
         (_record(aux={"ppl": 10**400}), "ppl must be a number, got 1000"),
+        (_record(id=None), "id must be a string, got None"),
+        (_record(video_id=7), "video_id must be a string, got 7"),
     ],
 )
 def test_cli_malformed_dataset_record_exits_two(tmp_path, capsys, bad, needle):
@@ -331,6 +333,17 @@ def test_cli_evaluate_non_string_hypothesis_exits_two(tmp_path, capsys, hyp):
     assert f"{preds}:2:" in err and "hypothesis must be a string" in err
 
 
+@pytest.mark.parametrize("rid", [None, 7], ids=["null", "number"])
+def test_cli_evaluate_non_string_prediction_id_exits_two(tmp_path, capsys, rid):
+    ds, preds = _evaluate_flow(tmp_path)
+    lines = preds.read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps({"id": rid, "hypothesis": "a ."})
+    preds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["evaluate", "--dataset", str(ds), "--predictions", str(preds)]) == 2
+    err = capsys.readouterr().err
+    assert f"{preds}:2:" in err and f"id must be a string, got {rid!r}" in err
+
+
 def test_cli_reports_malformed_input(tmp_path, capsys):
     bad = _write(tmp_path / "bad.jsonl", '{"id": "a"}\n')
     preds = _write(tmp_path / "p.jsonl", "")
@@ -432,6 +445,7 @@ _SESSION_HEAD = json.dumps({"video_id": "v1", "caption": "A dog runs .", "lang":
             2,
             "payload must be a list",
         ),
+        (["", '{"video_id": 7, "caption": "a ."}'], 2, "video_id must be a string, got 7"),
     ],
 )
 def test_cli_session_malformed_script_line_exits_two(tmp_path, capsys, lines, bad_line, needle):
@@ -505,7 +519,7 @@ _ROOT_ROW = "1\ta\t_\tDET\t_\t_\t0\troot\t_\t_\n"
         ("parses.conllu", "\n# sent_id = vid1-0\n" + _ROOT_ROW,
          "{path}:2:", "is not of the form <video_id>#<caption_index>"),
         ("parses.conllu", "# sent_id = vid1#0\n" + _ROOT_ROW + _ROOT_ROW.replace("1\ta", "2\tb"),
-         "{path}: sentence 'vid1#0'", "exactly one root"),
+         "{path}:1: sentence 'vid1#0'", "exactly one root"),
         ("srl.jsonl", _SRL_OK + '{"caption_id": "vid1#0", "predicate": 99, "arguments": []}',
          "{path}:2:", "predicate 99 is outside caption 'vid1#0' (12 tokens)"),
         ("srl.jsonl", _SRL_OK + '{"caption_id": "vid1#0", "predicate": -1, "arguments": []}',
@@ -532,6 +546,27 @@ _ROOT_ROW = "1\ta\t_\tDET\t_\t_\t0\troot\t_\t_\n"
          "{path}:2:", "neighbors must be a list of strings, got 'vid2'"),
         ("neighbors.jsonl", '{"video_id": "vid1", "neighbors": [1]}',
          "{path}:1:", "neighbors must be a list of strings, got [1]"),
+        ("captions.jsonl", '{"video_id": "vid1", "lang": "en-word", "captions": "a dog runs ."}',
+         "{path}:1:", "captions must be a list of strings, got 'a dog runs .'"),
+        ("captions.jsonl", '{"video_id": "vid1", "lang": "en-word", "captions": ["a dog .", 1]}',
+         "{path}:1:", "caption must be a string, got 1"),
+        ("captions.jsonl", '{"video_id": "vid1", "lang": "en-word", "captions": ["a ."]}\n'
+         '{"video_id": 7, "lang": "en-word", "captions": ["a ."]}',
+         "{path}:2:", "video_id must be a string, got 7"),
+        ("neighbors.jsonl", '{"video_id": null, "neighbors": []}',
+         "{path}:1:", "video_id must be a string, got None"),
+        ("ppl.jsonl", '{"caption_id": 7, "ppl": 42.0}',
+         "{path}:1:", "caption_id must be a string, got 7"),
+        ("srl.jsonl", _SRL_OK + '{"caption_id": ["vid1#0"], "predicate": 8, "arguments": []}',
+         "{path}:2:", "caption_id must be a string, got ['vid1#0']"),
+        ("srl.jsonl", _SRL_OK + '{"caption_id": "vid1#0", "predicate": 8, "arguments": '
+         '[{"label": 0, "start": 0, "end": 4}]}', "{path}:2:", "label must be a string, got 0"),
+        ("parses.conllu", "\n# sent_id = vid1#0\n" + _ROOT_ROW
+         + "2\tb\t_\tNOUN\t_\t_\t3\tdep\t_\t_\n3\tc\t_\tNOUN\t_\t_\t2\tdep\t_\t_\n",
+         "{path}:2: sentence 'vid1#0'", "cycle"),
+        ("parses.conllu", "# sent_id = vid1#1\n" + _ROOT_ROW + "\n\n# sent_id = vid1#2\n"
+         + _ROOT_ROW + _ROOT_ROW.replace("1\ta", "2\tb"),
+         "{path}:5: sentence 'vid1#2'", "exactly one root"),
     ],
     ids=[
         "srl-predicate-string", "srl-predicate-float", "srl-argument-without-label",
@@ -541,17 +576,20 @@ _ROOT_ROW = "1\ta\t_\tDET\t_\t_\t0\troot\t_\t_\n"
         "srl-end-past-caption", "srl-start-negative",
         "ppl-string", "ppl-numeric-string", "ppl-bool",
         "neighbors-number", "neighbors-string", "neighbors-not-strings",
+        "captions-string", "captions-not-strings", "captions-video-id-number",
+        "neighbors-video-id-null", "ppl-caption-id-number", "srl-caption-id-list",
+        "srl-label-number", "conllu-cycle", "conllu-second-sentence-two-roots",
     ],
 )
 def test_cli_malformed_annotation_exits_two(tmp_path, capsys, data_dir, name, text, where, needle):
     inputs = {
         n: str(data_dir / n)
-        for n in ("parses.conllu", "srl.jsonl", "neighbors.jsonl", "ppl.jsonl")
+        for n in ("captions.jsonl", "parses.conllu", "srl.jsonl", "neighbors.jsonl", "ppl.jsonl")
     }
     inputs[name] = path = _write(tmp_path / name, text + "\n")
     argv = [
         "construct",
-        "--captions", str(data_dir / "captions.jsonl"),
+        "--captions", inputs["captions.jsonl"],
         "--parses", inputs["parses.conllu"],
         "--srl", inputs["srl.jsonl"],
         "--neighbors", inputs["neighbors.jsonl"],

@@ -1,16 +1,17 @@
 """The kernels: the bit-parallel edit distance and LCS against the
-cell-by-cell DP oracles, the facade's interning, and the aligner's
-edge shapes."""
+cell-by-cell DP oracles, the facade's interning, the aligner's edge
+shapes, and the bit-parallel aligner against its full-table DP."""
 
 import random
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capedit import kernels
-from oracles import align_oracle, lcs_dp, levenshtein_dp
+from oracles import align_oracle, dsa_full_table, lcs_dp, levenshtein_dp
 
 
 def test_facade_interning_handles_arbitrary_tokens():
@@ -137,3 +138,66 @@ def test_bit_parallel_kernels_on_ten_thousand_tokens_within_budget():
     assert time.perf_counter() - start < 2.0
     assert 0 < lcs < 10_000 and 10_000 - lcs <= dist <= 10_000
     assert kernels.edit_distance(a, a) == 0 and kernels.lcs_length(a, a) == 10_000
+
+
+def _check_dsa(ref, hyp):
+    """dsa_ops equals the full-table DP: cost, and every op in order."""
+    ids = {}
+    x = [kernels._MASK if t is None else ids.setdefault(t, len(ids)) for t in ref]
+    y = [ids.setdefault(t, len(ids)) for t in hyp]
+    assert kernels.dsa_ops(ref, hyp) == dsa_full_table(x, y)
+
+
+def test_dsa_matches_full_table_exhaustively():
+    # every reference over {a, b, MASK} against every hypothesis over
+    # {a, b, c}, each up to length 4
+    for n in range(5):
+        for ref in product(("a", "b", None), repeat=n):
+            for m in range(5):
+                for hyp in product("abc", repeat=m):
+                    _check_dsa(ref, hyp)
+
+
+def _masked(rng, n, alphabet, mask_share):
+    return [None if rng.random() < mask_share else f"t{rng.randrange(alphabet)}" for _ in range(n)]
+
+
+def test_dsa_matches_full_table_on_random_pairs():
+    rng = random.Random(17)
+    for _ in range(150):
+        alphabet = rng.choice((1, 2, 3, 8, 40))
+        share = rng.choice((0.0, 0.05, 0.2, 0.5))
+        long = rng.random() < 0.3
+        n = rng.randint(60, 200) if long else rng.randint(0, 14)
+        m = rng.randint(60, 200) if long else rng.randint(0, 14)
+        ref = _masked(rng, n, alphabet, share)
+        _check_dsa(ref, _tokens(rng, m, alphabet + 1))
+        # the hypothesis an add command asks for: the reference with a
+        # run at each mask and a few edits elsewhere
+        hyp = []
+        for t in ref:
+            hyp.extend(_tokens(rng, rng.randint(0, 3), alphabet + 1) if t is None else [t])
+        for _ in range(rng.randint(0, 3)):
+            if hyp:
+                hyp[rng.randrange(len(hyp))] = f"t{rng.randrange(alphabet + 1)}"
+        _check_dsa(ref, hyp)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+def test_dsa_matches_full_table_across_word_boundaries(n):
+    rng = random.Random(n)
+    for m in (0, 1, 63, 64, 65, 127, 128, 129):
+        _check_dsa(_masked(rng, n, 3, 0.1), _tokens(rng, m, 3))
+        _check_dsa(_masked(rng, m, 3, 0.1), _tokens(rng, n, 3))
+
+
+def test_dsa_on_three_thousand_tokens_within_budget():
+    # a full-table DP fills and keeps 9 million cells here
+    rng = random.Random(19)
+    ref = [None if i % 250 == 100 else f"t{rng.randrange(50)}" for i in range(3000)]
+    hyp = _tokens(rng, 3000, 50)
+    start = time.perf_counter()
+    cost, ops = kernels.dsa_ops(ref, hyp)
+    assert time.perf_counter() - start < 1.0
+    assert cost == sum(op[0] in (kernels.OP_SUB, kernels.OP_DEL, kernels.OP_INS) for op in ops)
+    assert [op[1] for op in ops if op[0] != kernels.OP_INS] == list(range(len(ref)))

@@ -3,6 +3,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capedit import kernels
 from capedit.commands import Command, CommandKind, Operation, kind
@@ -10,6 +12,7 @@ from capedit.construction import EditSample, Provenance
 from capedit.metrics import (
     EvalConfig,
     EvalUnit,
+    _overlap_counts,
     attr_acc,
     bleu4,
     evaluate_corpus,
@@ -23,7 +26,7 @@ from capedit.metrics import (
 from capedit.text import LanguageMode, TokenSeq, normalized_tokens, tokenize
 
 from helpers import ATTR_WORDS, CAPTION_WORDS, make_samples, make_units, random_caption
-from oracles import evaluate_corpus_two_pass, sari_independent
+from oracles import evaluate_corpus_two_pass, overlap_counts_dicts, sari_independent
 
 WORD = LanguageMode.WORD
 CHAR = LanguageMode.CHAR
@@ -151,6 +154,26 @@ def test_sari_matches_independent_calculator():
         got = sari_score(tuple(src), tuple(hyp), tuple(gt))
         want = sari_independent(src, hyp, gt)
         assert abs(got - want) < 1e-9
+
+
+_SEQ = st.lists(st.sampled_from(("a", "b", "c", "dd")), max_size=14).map(tuple)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_SEQ, _SEQ, _SEQ)
+def test_overlap_counts_match_dict_oracle(source, hypothesis, truth):
+    # a four-token alphabet repeats n-grams often, and any side may be empty
+    assert _overlap_counts(source, hypothesis, truth) == overlap_counts_dicts(
+        source, hypothesis, truth
+    )
+
+
+def test_overlap_counts_hand_case():
+    # S = a a b, C = a b b, G = a a; unigrams: S&C = {a, b}, S&G = {a, a}
+    o = _overlap_counts(("a", "a", "b"), ("a", "b", "b"), ("a", "a"))
+    assert o[0] == (3, 3, 2, 2, 2, 1, 0, 0, 1)
+    assert o[1] == (2, 2, 1, 1, 1, 0, 0, 0, 0)
+    assert o[3] == (0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_rouge_l_hand_case():
