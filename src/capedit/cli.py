@@ -9,6 +9,7 @@ internal errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -22,19 +23,8 @@ from capedit.commands import (
     parse as parse_control,
     serialize,
 )
-from capedit.construction import (
-    PARTITIONS,
-    ConstructionConfig,
-    construct_corpus,
-    corpus_stats,
-    partition_videos,
-)
-from capedit.editing import (
-    Session,
-    oracle_apply,
-    payload_from_truth,
-    session_step,
-)
+from capedit.construction import construct_corpus, corpus_stats, partition_videos
+from capedit.editing import oracle_apply, payload_from_truth, session_step
 from capedit.errors import CapeditError, DatasetError, OracleError
 from capedit.metrics import EvalConfig, EvalUnit, evaluate_corpus, format_report_table
 from capedit.text import LanguageMode, detokenize, join, tokenize
@@ -70,32 +60,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     groups = cio.read_captions(args.captions)
-    config = ConstructionConfig()
-    split_spec = None
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
-        config = ConstructionConfig.from_dict(data)
-        split_spec = data.get("split")
+    config, split_spec = cio.read_config(args.config) if args.config else (None, None)
     parses = cio.read_parses(args.parses, args.srl) if args.parses else {}
     neighbors = cio.read_neighbors(args.neighbors) if args.neighbors else None
-    ppl_by_caption = cio.read_ppl(args.ppl) if args.ppl else None
-    ppl = None
-    if ppl_by_caption:
-        by_id = {g.video_id: g for g in groups}
-        ppl = {}
-        for cid, value in ppl_by_caption.items():
-            key = cio._split_caption_id(cid)
-            group = by_id.get(key[0]) if key else None
-            if group is None or key[1] >= len(group.captions):
-                raise DatasetError(f"perplexity entry for unknown caption {cid!r}")
-            ppl[(group.video_id, detokenize(group.captions[key[1]]))] = value
+    ppl = cio.read_ppl(args.ppl, groups) if args.ppl else None
     samples = construct_corpus(
         groups, parses, config, seed=args.seed, neighbors=neighbors, ppl=ppl
     )
     if not samples:
         raise DatasetError("construction produced no samples")
-    split_paths = partition = None
+    partition = None
     if split_spec:
         partition = partition_videos(
             samples,
@@ -103,9 +77,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             ratios=tuple(split_spec.get("ratios", (0.7, 0.1, 0.2))),
             seed=split_spec.get("seed", args.seed),
         )
-        stem = args.out[: -len(".jsonl")] if args.out.endswith(".jsonl") else args.out
-        split_paths = {part: f"{stem}.{part}.jsonl" for part in PARTITIONS}
-    cio.write_dataset(args.out, samples, split_paths, partition)
+    cio.write_dataset(args.out, samples, partition)
     stats = corpus_stats(samples)
     with open(args.out + ".stats.json", "w", encoding="utf-8") as fh:
         json.dump(stats.to_dict(), fh, ensure_ascii=False, indent=2)
@@ -113,16 +85,17 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
+def _output(path: str | None):
+    """The file at path for writing, or stdout (left open) without one."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+
+
 def _cmd_serialize(args: argparse.Namespace) -> int:
     samples = cio.read_dataset(args.dataset)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         for sample in samples:
             ctrl = serialize(sample.command, sample.reference)
             out.write(f"{sample.id}\t{ctrl}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -134,11 +107,12 @@ def _cmd_parse_control(args: argparse.Namespace) -> int:
             if not line:
                 continue
             rid, sep, ctrl = line.partition("\t")
-            if not sep:
-                raise DatasetError(
-                    f"{args.infile}:{lineno}: expected '<id>\\t<control string>'"
-                )
-            cmd, posref = parse_control(ctrl, mode=mode)
+            try:
+                if not sep:
+                    raise DatasetError("expected '<id>\\t<control string>'")
+                cmd, posref = parse_control(ctrl, mode=mode)
+            except CapeditError as exc:
+                raise DatasetError(f"{args.infile}:{lineno}: {exc}") from exc
             record = {
                 "id": rid,
                 "op": cmd.op.value,
@@ -154,15 +128,14 @@ def _cmd_parse_control(args: argparse.Namespace) -> int:
 
 
 def _parse_positioned_text(line: str, mode: LanguageMode) -> PositionedReference:
+    """Reference text with [MASK] slots, which need no surrounding spaces."""
+    pieces = line.split(MASK_TOKEN)
     toks: list[str] = []
-    masks = 0
-    for chunk in line.split():
-        if chunk == MASK_TOKEN:
+    for i, piece in enumerate(pieces):
+        if i:
             toks.append(MASK_TOKEN)
-            masks += 1
-        else:
-            toks.extend(tokenize(chunk, mode).tokens)
-    return PositionedReference(tuple(toks), mode, None, masks)
+        toks.extend(tokenize(piece, mode).tokens)
+    return PositionedReference(tuple(toks), mode, None, len(pieces) - 1)
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
@@ -196,43 +169,18 @@ def _cmd_oracle_edit(args: argparse.Namespace) -> int:
         except OracleError as exc:
             raise DatasetError(f"sample {sample.id!r}: {exc}") from exc
         records.append((sample.id, detokenize(edited)))
-    if args.out:
-        cio.write_predictions(args.out, records)
-    else:
-        cio.write_predictions(sys.stdout, records)
+    with _output(args.out) as out:
+        cio.write_predictions(out, records)
     return 0
 
 
 def _cmd_session(args: argparse.Namespace) -> int:
-    lines = list(cio._iter_json_lines(args.script))
-    if not lines:
-        raise DatasetError(f"{args.script}: empty session script")
-    head_lineno, head = lines[0]
-    video_id = cio._str_field(head, "video_id", args.script, head_lineno)
-    try:
-        mode = LanguageMode.from_wire(head.get("lang", "en-word"))
-        caption = head["caption"]
-    except (KeyError, ValueError) as exc:
-        raise DatasetError(
-            f"{args.script}:{head_lineno}: bad session header ({exc})"
-        ) from exc
-    session = Session(
-        video_id, cio._tokenize(caption, mode, "caption", args.script, head_lineno)
-    )
-    for lineno, step in lines[1:]:
-        if "command" not in step:
-            raise DatasetError(f"{args.script}:{lineno}: round without a command")
-        cmd = cio._command_from_wire(step["command"], args.script, lineno, mode)
-        payload = step.get("payload")
-        if payload is not None:
-            payload = cio._payload_from_wire(payload, mode, args.script, lineno)
-        hyp = step.get("hypothesis")
-        hypothesis = (
-            cio._tokenize(hyp, mode, "hypothesis", args.script, lineno)
-            if hyp is not None
-            else None
-        )
-        session = session_step(session, cmd, hypothesis, payload, delta=args.delta)
+    session, rounds = cio.read_session(args.script)
+    for lineno, cmd, payload, hypothesis in rounds:
+        try:
+            session = session_step(session, cmd, hypothesis, payload, delta=args.delta)
+        except CapeditError as exc:
+            raise DatasetError(f"{args.script}:{lineno}: {exc}") from exc
         rnd = session.rounds[-1]
         sys.stdout.write(
             json.dumps(

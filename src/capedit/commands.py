@@ -239,30 +239,35 @@ def _recover_del_spans(
 ) -> list[tuple[int, int]]:
     """Map each [MASK] in posref to a removed span of the original.
 
-    Backtracking search preferring the shortest (leftmost) span at each
-    mask; raises when the positioned reference is inconsistent with the
-    original caption.
+    Bit i of reach[p] is set when posref[p:] matches original[i:], each
+    mask covering at least one token.  Reading forward, each mask takes
+    the shortest span after which the rest can still match, so the
+    spans are the leftmost-shortest ones; raises when the positioned
+    reference is inconsistent with the original caption.
     """
-
-    def rec(oi: int, pi: int, acc: list[tuple[int, int]]):
-        if pi == len(posref):
-            return list(acc) if oi == len(original) else None
-        tok = posref[pi]
-        if tok == MASK_TOKEN:
-            for ln in range(1, len(original) - oi + 1):
-                acc.append((oi, oi + ln))
-                hit = rec(oi + ln, pi + 1, acc)
-                acc.pop()
-                if hit is not None:
-                    return hit
-            return None
-        if oi < len(original) and original[oi] == tok:
-            return rec(oi + 1, pi + 1, acc)
-        return None
-
-    spans = rec(0, 0, [])
-    if spans is None:
+    at: dict[str, int] = {}
+    for i, tok in enumerate(original):
+        at[tok] = at.get(tok, 0) | (1 << i)
+    reach = [0] * len(posref) + [1 << len(original)]
+    for p in range(len(posref) - 1, -1, -1):
+        rest = reach[p + 1]
+        if posref[p] == MASK_TOKEN:
+            # every i below the last index the rest can start from
+            reach[p] = (1 << (rest.bit_length() - 1)) - 1 if rest else 0
+        else:
+            reach[p] = (rest >> 1) & at.get(posref[p], 0)
+    if not reach[0] & 1:
         raise ControlFormatError("positioned reference is inconsistent with the original caption")
+    spans = []
+    i = 0
+    for p, tok in enumerate(posref):
+        if tok == MASK_TOKEN:
+            ends = reach[p + 1] >> (i + 1)
+            end = i + (ends & -ends).bit_length()
+            spans.append((i, end))
+            i = end
+        else:
+            i += 1
     return spans
 
 

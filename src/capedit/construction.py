@@ -24,7 +24,7 @@ import enum
 import math
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 
 from capedit import kernels
@@ -220,18 +220,61 @@ class ConstructionConfig:
     max_per_kind: int | None = None
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ConstructionConfig":
-        kwargs = {}
-        for fname, f in cls.__dataclass_fields__.items():
-            if fname in data:
-                value = data[fname]
-                if isinstance(f.default, frozenset):
-                    value = frozenset(value)
-                kwargs[fname] = value
-        unknown = set(data) - set(cls.__dataclass_fields__) - {"split"}
+    def from_dict(cls, data: dict, source: str = "config") -> "ConstructionConfig":
+        """A config from its JSON form: any field, as a non-negative JSON
+        integer for an int, a JSON number for a float, a list of strings
+        for a frozenset, or null for an optional one; plus an optional "split"
+        entry, checked here and read by the caller.  A violation raises
+        DatasetError naming source."""
+
+        def fail(msg: str) -> DatasetError:
+            return DatasetError(f"{source}: {msg}")
+
+        if not isinstance(data, dict):
+            raise fail(f"expected a JSON object, got {type(data).__name__}")
+        unknown = set(data) - {f.name for f in fields(cls)} - {"split"}
         if unknown:
-            raise DatasetError(f"unknown construction config keys: {sorted(unknown)}")
+            raise fail(f"unknown construction config keys: {sorted(unknown)}")
+        kwargs = {}
+        for f in fields(cls):
+            if f.name not in data:
+                continue
+            value = data[f.name]
+            base, _, optional = f.type.partition(" | ")
+            what, ok = _CONFIG_TYPES[base]
+            if not (ok(value) or optional and value is None):
+                what += " or null" if optional else ""
+                raise fail(f"{f.name} must be {what}, got {value!r}")
+            kwargs[f.name] = frozenset(value) if base == "frozenset" else value
+        if data.get("split") is not None:
+            _check_split(data["split"], fail)
         return cls(**kwargs)
+
+
+_CONFIG_TYPES = {
+    "int": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "frozenset": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    ),
+}
+
+
+def _check_split(split, fail) -> None:
+    """A "split" config entry: {"ratios": [train, val, test], "seed": int,
+    "mapping": {video_id: partition}}, each key optional."""
+    if not isinstance(split, dict) or not set(split) <= {"ratios", "seed", "mapping"}:
+        raise fail(f"split must be an object of ratios, seed and mapping, got {split!r}")
+    ratios = split.get("ratios", [0.7, 0.1, 0.2])
+    numbers = isinstance(ratios, list) and all(type(r) in (int, float) and r >= 0 for r in ratios)
+    if not (numbers and len(ratios) == 3 and math.isclose(sum(ratios), 1.0)):
+        raise fail(f"split ratios must be three non-negative numbers summing to 1, got {ratios!r}")
+    if type(split.get("seed", 0)) is not int:
+        raise fail(f"split seed must be an integer, got {split['seed']!r}")
+    mapping = split.get("mapping") or {}
+    if not isinstance(mapping, dict) or any(p not in PARTITIONS for p in mapping.values()):
+        raise fail(f"split mapping must map video ids to train, val or test, got {mapping!r}")
 
 
 def build_add_length(group: CaptionGroup, min_diff: int = 5) -> list[EditSample]:
@@ -753,14 +796,7 @@ class StatRecord:
     per_kind: dict
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean_ref_len": self.mean_ref_len,
-            "mean_gt_len": self.mean_gt_len,
-            "mean_edit_distance": self.mean_edit_distance,
-            "vocabulary": self.vocabulary,
-            "per_kind": dict(self.per_kind),
-        }
+        return asdict(self)
 
 
 def corpus_stats(samples: list[EditSample]) -> StatRecord:

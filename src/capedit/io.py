@@ -19,90 +19,128 @@ from __future__ import annotations
 
 import json
 from contextlib import ExitStack
+from dataclasses import replace
 from typing import Iterable, TextIO
 
 from capedit.commands import Command, Operation
 from capedit.construction import (
+    PARTITIONS,
     CaptionGroup,
+    ConstructionConfig,
     DepToken,
     EditSample,
     ParseAnnotation,
     Provenance,
     SrlFrame,
 )
+from capedit.editing import Payload, Session
 from capedit.errors import CapeditError, DatasetError
 from capedit.text import LanguageMode, TokenSeq, detokenize, join, tokenize
 
 
-def _iter_json_lines(path: str):
+class _Record:
+    """A JSON object read from path:lineno.
+
+    Each getter reads a required field under the input rules and
+    reports a violation through error(), so every message names the
+    location; has() tells whether an optional field is given."""
+
+    __slots__ = ("data", "path", "lineno")
+
+    def __init__(self, data, path: str, lineno: int) -> None:
+        self.data, self.path, self.lineno = data, path, lineno
+
+    def error(self, msg: str) -> DatasetError:
+        return DatasetError(f"{self.path}:{self.lineno}: {msg}")
+
+    def has(self, key: str) -> bool:
+        """The field is present and not null."""
+        return self.data.get(key) is not None
+
+    def require(self, key: str):
+        try:
+            return self.data[key]
+        except KeyError:
+            raise self.error(f"missing field {key!r}") from None
+
+    def string(self, key: str) -> str:
+        """A JSON string; str() would turn null into "None" and 7 into "7"."""
+        value = self.require(key)
+        if not isinstance(value, str):
+            raise self.error(f"{key} must be a string, got {value!r}")
+        return value
+
+    def integer(self, key: str) -> int:
+        """A JSON integer; int() would truncate 1.7 and accept true and "1"."""
+        value = self.require(key)
+        if type(value) is not int:
+            raise self.error(f"{key} must be an integer, got {value!r}")
+        return value
+
+    def number(self, key: str) -> float:
+        """A JSON number as a float; float() would also accept true and "42"."""
+        value = self.require(key)
+        if type(value) in (int, float):
+            try:
+                return float(value)
+            except OverflowError:
+                pass
+        raise self.error(f"{key} must be a number, got {value!r}")
+
+    def text(self, key: str, mode: LanguageMode) -> TokenSeq:
+        """A string tokenized in mode."""
+        return tokenize(self.string(key), mode)
+
+    def strings(self, key: str, item: str | None = None) -> list[str]:
+        """A list of strings; a non-string entry is reported as the item
+        when item names it, else as the list."""
+        value = self.require(key)
+        if not isinstance(value, list):
+            raise self.error(f"{key} must be a list of strings, got {value!r}")
+        for v in value:
+            if not isinstance(v, str):
+                raise self.error(
+                    f"{item} must be a string, got {v!r}" if item
+                    else f"{key} must be a list of strings, got {value!r}"
+                )
+        return value
+
+    def texts(self, key: str, item: str, mode: LanguageMode) -> tuple[TokenSeq, ...]:
+        """A list of strings, each tokenized in mode."""
+        return tuple(tokenize(v, mode) for v in self.strings(key, item))
+
+    def mode(self, default: str | None = None) -> LanguageMode:
+        """The "lang" field; default, when given, stands for an absent one."""
+        try:
+            return LanguageMode.from_wire(
+                self.data.get("lang", default) if default else self.require("lang")
+            )
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
+
+    def nested(self, key: str) -> _Record:
+        """The object under key, read at this location."""
+        value = self.require(key)
+        if not isinstance(value, dict):
+            raise self.error(f"{key} must be an object, got {value!r}")
+        return _Record(value, self.path, self.lineno)
+
+
+def _records(path: str):
+    """The JSON objects of a JSONL file; blank lines are skipped."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            rec = _Record(None, path, lineno)
             try:
-                record = json.loads(line)
+                rec.data = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(record, dict):
-                raise DatasetError(
-                    f"{path}:{lineno}: expected a JSON object, got {type(record).__name__}"
-                )
-            yield lineno, record
-
-
-def _require(record: dict, key: str, path: str, lineno: int):
-    if key not in record:
-        raise DatasetError(f"{path}:{lineno}: missing field {key!r}")
-    return record[key]
-
-
-def _str_field(record: dict, key: str, path: str, lineno: int) -> str:
-    """A required JSON string field; str() would turn null into "None"
-    and 7 into "7"."""
-    value = _require(record, key, path, lineno)
-    if not isinstance(value, str):
-        raise DatasetError(f"{path}:{lineno}: {key} must be a string, got {value!r}")
-    return value
-
-
-def _tokenize(value, mode: LanguageMode, what: str, path: str, lineno: int) -> TokenSeq:
-    if not isinstance(value, str):
-        raise DatasetError(f"{path}:{lineno}: {what} must be a string, got {value!r}")
-    return tokenize(value, mode)
-
-
-def _json_int(value) -> int:
-    """A JSON integer as is; int() would truncate 1.7 and accept true and "1"."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"not an integer: {value!r}")
-    return value
-
-
-def _json_number(value) -> float:
-    """A JSON number (integer or float) as a float; float() would also
-    accept true and "42"."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"not a number: {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise TypeError(f"number out of range: {value!r}") from None
-
-
-def _number_field(value, key: str, path: str, lineno: int) -> float:
-    try:
-        return _json_number(value)
-    except TypeError:
-        raise DatasetError(f"{path}:{lineno}: {key} must be a number, got {value!r}") from None
-
-
-def _int_field(record: dict, key: str, path: str, lineno: int) -> int:
-    value = _require(record, key, path, lineno)
-    try:
-        return _json_int(value)
-    except TypeError:
-        raise DatasetError(f"{path}:{lineno}: {key} must be an integer, got {value!r}") from None
+                raise rec.error(f"invalid JSON ({exc})") from exc
+            if not isinstance(rec.data, dict):
+                raise rec.error(f"expected a JSON object, got {type(rec.data).__name__}")
+            yield rec
 
 
 def _split_caption_id(cid: str) -> tuple[str, int] | None:
@@ -114,38 +152,37 @@ def _split_caption_id(cid: str) -> tuple[str, int] | None:
     return vid, int(idx)
 
 
-def _payload_from_wire(
-    value, mode: LanguageMode, path: str, lineno: int
-) -> tuple[tuple[str, ...], ...]:
-    """A payload: a list of strings, one token span each."""
-    if not isinstance(value, list):
-        raise DatasetError(f"{path}:{lineno}: payload must be a list of strings, got {value!r}")
-    return tuple(_tokenize(span, mode, "payload span", path, lineno).tokens for span in value)
+def _payload(rec: _Record, mode: LanguageMode) -> Payload | None:
+    """The optional payload: a list of strings, one token span each."""
+    if not rec.has("payload"):
+        return None
+    return tuple(s.tokens for s in rec.texts("payload", "payload span", mode))
 
 
-def _command_from_wire(data: dict, path: str, lineno: int, mode: LanguageMode) -> Command:
+def _command_from_wire(rec: _Record, mode: LanguageMode) -> Command:
     try:
-        op = Operation(data["op"])
+        op = Operation(rec.require("command")["op"])
     except (KeyError, TypeError, ValueError):
-        raise DatasetError(f"{path}:{lineno}: bad command operation") from None
-    positions = data.get("positions")
+        raise rec.error("bad command operation") from None
+    cmd = rec.nested("command")
+    positions = cmd.data.get("positions")
     if positions is not None:
         try:
             if op is Operation.ADD:
-                positions = tuple(_json_int(p) for p in positions)
+                ok = all(type(p) is int for p in positions)
             else:
-                positions = tuple((_json_int(s), _json_int(e)) for s, e in positions)
+                ok = all(type(s) is int and type(e) is int for s, e in positions)
         except (TypeError, ValueError):
-            raise DatasetError(f"{path}:{lineno}: bad command positions {positions!r}") from None
-    attributes = data.get("attributes")
-    if attributes is not None:
-        attributes = tuple(
-            _tokenize(a, mode, "attribute", path, lineno).tokens for a in attributes
-        )
+            ok = False
+        if not ok:
+            raise rec.error(f"bad command positions {positions!r}")
+    attributes = None
+    if cmd.has("attributes"):
+        attributes = tuple(a.tokens for a in cmd.texts("attributes", "attribute", mode))
     try:
         return Command(op, positions, attributes)
     except CapeditError as exc:
-        raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+        raise rec.error(str(exc)) from exc
 
 
 def _command_to_wire(cmd: Command, mode: LanguageMode) -> dict:
@@ -161,33 +198,19 @@ def _command_to_wire(cmd: Command, mode: LanguageMode) -> dict:
 
 
 def sample_from_wire(record: dict, path: str = "<memory>", lineno: int = 0) -> EditSample:
-    rid = _str_field(record, "id", path, lineno)
-    video_id = _str_field(record, "video_id", path, lineno)
-    try:
-        mode = LanguageMode.from_wire(_require(record, "lang", path, lineno))
-    except ValueError as exc:
-        raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-    cmd = _command_from_wire(_require(record, "command", path, lineno), path, lineno, mode)
-    reference = _tokenize(
-        _require(record, "reference", path, lineno), mode, "reference", path, lineno
-    )
-    ground_truth = _tokenize(
-        _require(record, "ground_truth", path, lineno), mode, "ground_truth", path, lineno
-    )
-    payload = record.get("payload")
-    if payload is not None:
-        payload = _payload_from_wire(payload, mode, path, lineno)
-    aux = record.get("aux")
-    if aux is None:
-        aux = {}
-    elif not isinstance(aux, dict):
-        raise DatasetError(f"{path}:{lineno}: aux must be an object, got {aux!r}")
-    ppl = aux.get("ppl")
-    if ppl is not None:
-        ppl = _number_field(ppl, "ppl", path, lineno)
-    emscore = aux.get("emscore")
-    if emscore is not None:
-        emscore = _number_field(emscore, "emscore", path, lineno)
+    rec = _Record(record, path, lineno)
+    rid = rec.string("id")
+    video_id = rec.string("video_id")
+    mode = rec.mode()
+    cmd = _command_from_wire(rec, mode)
+    reference = rec.text("reference", mode)
+    ground_truth = rec.text("ground_truth", mode)
+    payload = _payload(rec, mode)
+    ppl = emscore = None
+    if rec.has("aux"):
+        aux = rec.nested("aux")
+        ppl = aux.number("ppl") if aux.has("ppl") else None
+        emscore = aux.number("emscore") if aux.has("emscore") else None
     try:
         provenance = Provenance(record["provenance"]) if "provenance" in record else (
             Provenance.DEGRADATION if payload is not None and cmd.op is Operation.DEL
@@ -207,7 +230,7 @@ def sample_from_wire(record: dict, path: str = "<memory>", lineno: int = 0) -> E
             emscore=emscore,
         )
     except (ValueError, CapeditError) as exc:
-        raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+        raise rec.error(str(exc)) from exc
 
 
 def sample_to_wire(sample: EditSample) -> dict:
@@ -235,10 +258,10 @@ def sample_to_wire(sample: EditSample) -> dict:
 def read_dataset(path: str) -> list[EditSample]:
     samples = []
     seen = set()
-    for lineno, record in _iter_json_lines(path):
-        sample = sample_from_wire(record, path, lineno)
+    for rec in _records(path):
+        sample = sample_from_wire(rec.data, path, rec.lineno)
         if sample.id in seen:
-            raise DatasetError(f"{path}:{lineno}: duplicate sample id {sample.id!r}")
+            raise rec.error(f"duplicate sample id {sample.id!r}")
         seen.add(sample.id)
         samples.append(sample)
     return samples
@@ -249,26 +272,23 @@ def _dump(obj: dict) -> str:
 
 
 def write_dataset(
-    path: str,
-    samples: Iterable[EditSample],
-    split_paths: dict[str, str] | None = None,
-    partition: dict[str, str] | None = None,
+    path: str, samples: Iterable[EditSample], partition: dict[str, str] | None = None
 ) -> None:
     """Write one record per line to path, dumping each sample once.
 
-    With split_paths (partition name -> file) and partition (video id ->
-    partition name), the same line also goes to its video's split file
-    in the same pass, so each split file holds the corpus lines of its
-    partition in corpus order; every split file is written, even an
-    empty one."""
-    if (split_paths is None) != (partition is None):
-        raise ValueError("split_paths and partition go together")
+    With partition (video id -> partition name), the same line also
+    goes to <stem>.<partition>.jsonl in the same pass, where stem is
+    path without its ".jsonl", so each split file holds the corpus
+    lines of its partition in corpus order; every split file is
+    written, even an empty one."""
     with ExitStack() as stack:
         fh = stack.enter_context(open(path, "w", encoding="utf-8"))
-        split_fhs = {
-            part: stack.enter_context(open(split_path, "w", encoding="utf-8"))
-            for part, split_path in (split_paths or {}).items()
-        }
+        if partition is not None:
+            stem = path[: -len(".jsonl")] if path.endswith(".jsonl") else path
+            split_fhs = {
+                part: stack.enter_context(open(f"{stem}.{part}.jsonl", "w", encoding="utf-8"))
+                for part in PARTITIONS
+            }
         for sample in samples:
             line = _dump(sample_to_wire(sample)) + "\n"
             fh.write(line)
@@ -279,72 +299,71 @@ def write_dataset(
 def read_predictions(path: str) -> dict[str, str]:
     """Prediction records: {"id": ..., "hypothesis": "..."}."""
     out: dict[str, str] = {}
-    for lineno, record in _iter_json_lines(path):
-        rid = _str_field(record, "id", path, lineno)
-        hyp = _require(record, "hypothesis", path, lineno)
-        if not isinstance(hyp, str):
-            raise DatasetError(f"{path}:{lineno}: hypothesis must be a string, got {hyp!r}")
+    for rec in _records(path):
+        rid = rec.string("id")
+        hyp = rec.string("hypothesis")
         if rid in out:
-            raise DatasetError(f"{path}:{lineno}: duplicate prediction id {rid!r}")
+            raise rec.error(f"duplicate prediction id {rid!r}")
         out[rid] = hyp
     return out
 
 
-def write_predictions(path_or_fh, records: Iterable[tuple[str, str]]) -> None:
-    def _write(fh: TextIO) -> None:
-        for rid, hyp in records:
-            fh.write(_dump({"id": rid, "hypothesis": hyp}) + "\n")
-
-    if isinstance(path_or_fh, str):
-        with open(path_or_fh, "w", encoding="utf-8") as fh:
-            _write(fh)
-    else:
-        _write(path_or_fh)
+def write_predictions(fh: TextIO, records: Iterable[tuple[str, str]]) -> None:
+    for rid, hyp in records:
+        fh.write(_dump({"id": rid, "hypothesis": hyp}) + "\n")
 
 
 def read_captions(path: str) -> list[CaptionGroup]:
     """Caption pools: {"video_id": ..., "lang": ..., "captions": [...]}."""
     groups = []
     seen = set()
-    for lineno, record in _iter_json_lines(path):
-        vid = _str_field(record, "video_id", path, lineno)
+    for rec in _records(path):
+        vid = rec.string("video_id")
         if vid in seen:
-            raise DatasetError(f"{path}:{lineno}: duplicate video id {vid!r}")
+            raise rec.error(f"duplicate video id {vid!r}")
         seen.add(vid)
-        try:
-            mode = LanguageMode.from_wire(_require(record, "lang", path, lineno))
-        except ValueError as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-        captions = _require(record, "captions", path, lineno)
-        if not isinstance(captions, list):
-            raise DatasetError(
-                f"{path}:{lineno}: captions must be a list of strings, got {captions!r}"
-            )
+        captions = rec.texts("captions", "caption", rec.mode())
         if not captions:
-            raise DatasetError(f"{path}:{lineno}: empty caption list")
-        groups.append(
-            CaptionGroup(
-                vid, tuple(_tokenize(c, mode, "caption", path, lineno) for c in captions)
-            )
-        )
+            raise rec.error("empty caption list")
+        groups.append(CaptionGroup(vid, captions))
     return groups
 
 
-def _read_conllu_sentences(path: str) -> dict[str, tuple[int, tuple[DepToken, ...]]]:
-    """CoNLL-U sentences by sent_id, each with its first line."""
-    out: dict[str, tuple[int, tuple[DepToken, ...]]] = {}
+def read_config(path: str) -> tuple[ConstructionConfig, dict | None]:
+    """A construction config file (plain JSON) and its "split" entry."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise DatasetError(f"{path}: invalid JSON ({exc})") from exc
+    return ConstructionConfig.from_dict(data, path), data.get("split")
+
+
+def _read_conllu(path: str) -> dict[str, ParseAnnotation]:
+    """CoNLL-U sentences by sent_id, each checked as a dependency tree.
+
+    Columns used: FORM, UPOS, HEAD (1-based, 0 = root), DEPREL.  sent_id
+    must be of the form "<video_id>#<caption_index>".  An invalid tree
+    is reported at the sentence's first line."""
+    out: dict[str, ParseAnnotation] = {}
     sent_id = None
     start = 0
     tokens: list[DepToken] = []
+
+    def error(lineno: int, msg: str) -> DatasetError:
+        return DatasetError(f"{path}:{lineno}: {msg}")
 
     def flush(lineno: int) -> None:
         nonlocal sent_id, start, tokens
         if tokens:
             if sent_id is None:
-                raise DatasetError(f"{path}:{lineno}: sentence without a sent_id comment")
+                raise error(lineno, "sentence without a sent_id comment")
             if sent_id in out:
-                raise DatasetError(f"{path}:{lineno}: duplicate sent_id {sent_id!r}")
-            out[sent_id] = (start, tuple(tokens))
+                raise error(lineno, f"duplicate sent_id {sent_id!r}")
+            try:
+                out[sent_id] = ParseAnnotation(_split_caption_id(sent_id)[1], tuple(tokens))
+            except ValueError as exc:
+                raise error(start, f"sentence {sent_id!r}: {exc}") from exc
             tokens = []
         sent_id = None
         start = 0
@@ -364,82 +383,57 @@ def _read_conllu_sentences(path: str) -> dict[str, tuple[int, tuple[DepToken, ..
                     _, _, value = body.partition("=")
                     sent_id = value.strip()
                     if _split_caption_id(sent_id) is None:
-                        raise DatasetError(
-                            f"{path}:{lineno}: sent_id {sent_id!r} is not of the form "
-                            "<video_id>#<caption_index>"
+                        raise error(
+                            lineno,
+                            f"sent_id {sent_id!r} is not of the form <video_id>#<caption_index>",
                         )
                 continue
             cols = line.split("\t")
             if len(cols) != 10:
-                raise DatasetError(f"{path}:{lineno}: expected 10 tab-separated columns")
+                raise error(lineno, "expected 10 tab-separated columns")
             tok_id, form, _, upos, _, _, head, deprel = cols[:8]
             if "-" in tok_id or "." in tok_id:
                 continue  # multiword/empty nodes are not used
             try:
                 head_idx = int(head) - 1
             except ValueError:
-                raise DatasetError(f"{path}:{lineno}: bad HEAD value {head!r}") from None
+                raise error(lineno, f"bad HEAD value {head!r}") from None
             tokens.append(DepToken(form, upos, head_idx, deprel.lower()))
         flush(lineno + 1)
     return out
 
 
-def read_conllu(path: str) -> dict[str, tuple[DepToken, ...]]:
-    """CoNLL-U sentences keyed by their sent_id comment.
-
-    Columns used: FORM, UPOS, HEAD (1-based, 0 = root), DEPREL.
-    sent_id must be of the form "<video_id>#<caption_index>".
-    """
-    return {sid: tokens for sid, (_, tokens) in _read_conllu_sentences(path).items()}
-
-
-def _read_srl_frames(path: str) -> dict[str, list[tuple[int, SrlFrame]]]:
-    """SRL frames by caption id, each with the line it was read from."""
-    out: dict[str, list[tuple[int, SrlFrame]]] = {}
-    for lineno, record in _iter_json_lines(path):
-        cid = _str_field(record, "caption_id", path, lineno)
-        predicate = _int_field(record, "predicate", path, lineno)
-        arguments = _require(record, "arguments", path, lineno)
+def _read_srl(path: str) -> dict[str, list[tuple[_Record, SrlFrame]]]:
+    """SRL frames by caption id, each with the record it was read from:
+    {"caption_id": ..., "predicate": int,
+    "arguments": [{"label": ..., "start": int, "end": int}]}."""
+    out: dict[str, list[tuple[_Record, SrlFrame]]] = {}
+    for rec in _records(path):
+        cid = rec.string("caption_id")
+        predicate = rec.integer("predicate")
+        arguments = rec.require("arguments")
         if not isinstance(arguments, list) or not all(isinstance(a, dict) for a in arguments):
-            raise DatasetError(f"{path}:{lineno}: arguments must be a list of objects")
+            raise rec.error("arguments must be a list of objects")
         args = tuple(
-            (
-                _str_field(arg, "label", path, lineno),
-                _int_field(arg, "start", path, lineno),
-                _int_field(arg, "end", path, lineno),
-            )
-            for arg in arguments
+            (arg.string("label"), arg.integer("start"), arg.integer("end"))
+            for arg in (_Record(a, path, rec.lineno) for a in arguments)
         )
-        out.setdefault(cid, []).append((lineno, SrlFrame(predicate, args)))
+        out.setdefault(cid, []).append((rec, SrlFrame(predicate, args)))
     return out
 
 
-def read_srl(path: str) -> dict[str, tuple[SrlFrame, ...]]:
-    """SRL frames: {"caption_id": ..., "predicate": int,
-    "arguments": [{"label": ..., "start": int, "end": int}]}."""
-    return {
-        cid: tuple(frame for _, frame in frames)
-        for cid, frames in _read_srl_frames(path).items()
-    }
-
-
-def _check_srl_frame(frame: SrlFrame, cid: str, n: int, path: str, lineno: int) -> None:
+def _check_srl_frame(rec: _Record, frame: SrlFrame, cid: str, n: int) -> None:
     """The predicate is a token of the n-token caption and each argument
     a [start, end) span inside it."""
     if not 0 <= frame.predicate < n:
-        raise DatasetError(
-            f"{path}:{lineno}: predicate {frame.predicate} is outside caption {cid!r} "
-            f"({n} tokens)"
-        )
+        raise rec.error(f"predicate {frame.predicate} is outside caption {cid!r} ({n} tokens)")
     for label, start, end in frame.arguments:
         if start > end:
-            raise DatasetError(
-                f"{path}:{lineno}: argument {label!r} starts after it ends ({start} > {end})"
-            )
+            raise rec.error(f"argument {label!r} starts after it ends ({start} > {end})")
         if start < 0 or end > n:
-            raise DatasetError(
-                f"{path}:{lineno}: argument {label!r} span [{start}, {end}) is outside "
-                f"caption {cid!r} ({n} tokens)"
+            raise rec.error(
+                f"argument {label!r} span [{start}, {end}) is outside caption {cid!r} "
+                f"({n} tokens)"
             )
 
 
@@ -448,44 +442,62 @@ def read_parses(
 ) -> dict[tuple[str, int], ParseAnnotation]:
     """Parse annotations keyed by (video_id, caption_index): each CoNLL-U
     sentence with the SRL frames recorded under its sent_id, whose spans
-    must lie inside the sentence.  An invalid tree is reported at the
-    sentence's first line."""
-    sentences = _read_conllu_sentences(conllu_path)
-    srl = _read_srl_frames(srl_path) if srl_path else {}
+    must lie inside the sentence."""
+    sentences = _read_conllu(conllu_path)
+    srl = _read_srl(srl_path) if srl_path else {}
     parses = {}
-    for cid, (start, tokens) in sentences.items():
-        vid, idx = _split_caption_id(cid)
-        frames = srl.get(cid, ())
-        try:
-            parses[(vid, idx)] = ParseAnnotation(
-                idx, tokens, tuple(frame for _, frame in frames)
-            )
-        except ValueError as exc:
-            raise DatasetError(f"{conllu_path}:{start}: sentence {cid!r}: {exc}") from exc
-        for lineno, frame in frames:
-            _check_srl_frame(frame, cid, len(tokens), srl_path, lineno)
+    for cid, parse in sentences.items():
+        frames = srl.get(cid)
+        if frames:
+            for rec, frame in frames:
+                _check_srl_frame(rec, frame, cid, len(parse.tokens))
+            parse = replace(parse, frames=tuple(frame for _, frame in frames))
+        parses[_split_caption_id(cid)] = parse
     return parses
 
 
 def read_neighbors(path: str) -> dict[str, list[str]]:
     """Precomputed video similarity lists:
     {"video_id": ..., "neighbors": [...]}."""
-    out: dict[str, list[str]] = {}
-    for lineno, record in _iter_json_lines(path):
-        vid = _str_field(record, "video_id", path, lineno)
-        neighbors = _require(record, "neighbors", path, lineno)
-        if not isinstance(neighbors, list) or not all(isinstance(v, str) for v in neighbors):
-            raise DatasetError(
-                f"{path}:{lineno}: neighbors must be a list of strings, got {neighbors!r}"
-            )
-        out[vid] = neighbors
+    return {rec.string("video_id"): rec.strings("neighbors") for rec in _records(path)}
+
+
+def read_ppl(path: str, groups: list[CaptionGroup]) -> dict[tuple[str, str], float]:
+    """Per-caption perplexities, {"caption_id": "<video_id>#<caption_index>",
+    "ppl": number}, keyed by (video_id, caption text) of the caption
+    pools as construct_corpus takes them."""
+    by_id = {g.video_id: g for g in groups}
+    out: dict[tuple[str, str], float] = {}
+    for rec in _records(path):
+        cid = rec.string("caption_id")
+        ppl = rec.number("ppl")
+        key = _split_caption_id(cid)
+        group = by_id.get(key[0]) if key else None
+        if group is None or key[1] >= len(group.captions):
+            raise rec.error(f"perplexity entry for unknown caption {cid!r}")
+        out[(group.video_id, detokenize(group.captions[key[1]]))] = ppl
     return out
 
 
-def read_ppl(path: str) -> dict[str, float]:
-    """Per-caption perplexities: {"caption_id": ..., "ppl": float}."""
-    out: dict[str, float] = {}
-    for lineno, record in _iter_json_lines(path):
-        cid = _str_field(record, "caption_id", path, lineno)
-        out[cid] = _number_field(_require(record, "ppl", path, lineno), "ppl", path, lineno)
-    return out
+def read_session(
+    path: str,
+) -> tuple[Session, list[tuple[int, Command, Payload | None, TokenSeq | None]]]:
+    """A session script: a header {"video_id": ..., "caption": ...,
+    "lang": ...} ("lang" defaults to en-word), then one round per line,
+    {"command": {...}, "payload": [...], "hypothesis": "..."} with the
+    last two optional.  Returns the session the header starts and each
+    round's (line, command, payload, hypothesis)."""
+    records = _records(path)
+    head = next(records, None)
+    if head is None:
+        raise DatasetError(f"{path}: empty session script")
+    video_id = head.string("video_id")
+    mode = head.mode(default="en-word")
+    session = Session(video_id, head.text("caption", mode))
+    rounds = []
+    for rec in records:
+        cmd = _command_from_wire(rec, mode)
+        payload = _payload(rec, mode)
+        hypothesis = rec.text("hypothesis", mode) if rec.has("hypothesis") else None
+        rounds.append((rec.lineno, cmd, payload, hypothesis))
+    return session, rounds

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from capedit import kernels
@@ -293,19 +293,7 @@ class MetricRow:
     mean_emscore: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "label": self.label,
-            "count": self.count,
-            "len_acc": self.len_acc,
-            "attr_acc": self.attr_acc,
-            "pos_acc": self.pos_acc,
-            "sari": self.sari,
-            "bleu4": self.bleu4,
-            "rouge_l": self.rouge_l,
-            "mean_ppl": self.mean_ppl,
-            "mean_emscore": self.mean_emscore,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -455,9 +443,7 @@ def _fmt(value, kind: str) -> str:
         return "-"
     if kind == "pct":
         return f"{value:.2f}"
-    if kind == "score":
-        return f"{value:.4f}"
-    return str(value)
+    return f"{value:.4f}"
 
 
 def format_report_table(report: MetricReport) -> str:

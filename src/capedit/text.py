@@ -55,8 +55,9 @@ class TokenSeq:
 
 def _trusted_seq(tokens: tuple[str, ...], mode: LanguageMode) -> TokenSeq:
     """A TokenSeq without the token check, for tokens that cannot fail it:
-    the output of str.split() or of an isspace() filter (they agree on
-    every code point), or a slice of an existing sequence's tokens."""
+    the output of str.split() or the characters of that output (split()
+    and the check's isspace() agree on every code point), or a slice of
+    an existing sequence's tokens."""
     seq = object.__new__(TokenSeq)
     object.__setattr__(seq, "tokens", tokens)
     object.__setattr__(seq, "mode", mode)
@@ -83,7 +84,7 @@ def tokenize(text: str, mode: LanguageMode) -> TokenSeq:
         for chunk in text.split():
             toks.extend(_split_punct(chunk))
         return _trusted_seq(tuple(toks), mode)
-    return _trusted_seq(tuple(ch for ch in text if not ch.isspace()), mode)
+    return _trusted_seq(tuple("".join(text.split())), mode)
 
 
 def join(tokens: Iterable[str], mode: LanguageMode) -> str:

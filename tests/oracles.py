@@ -9,7 +9,8 @@ that rescans every donor pool with claim_kinds on every move, a
 similarity join that scores every ordered pair of videos, a
 two-pass evaluator that rescores every unit for each report row with
 Counter arithmetic for SARI and BLEU, the aligner as a full-table DP,
-and the SARI/BLEU overlap counts from per-order dict counts.
+the SARI/BLEU overlap counts from per-order dict counts, and the del
+span recovery as a backtracking search.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import random
 from collections import Counter
 
 from capedit import text as text_mod
-from capedit.commands import KIND_LABELS, KIND_ORDER, CommandKind, kind
+from capedit.commands import KIND_LABELS, KIND_ORDER, MASK_TOKEN, CommandKind, kind
 from capedit.construction import (
     ConstructionConfig,
     _content_tokens,
@@ -566,3 +567,32 @@ def overlap_counts_dicts(
             )
         )
     return out
+
+
+def recover_del_spans_backtracking(
+    original: tuple[str, ...], posref: tuple[str, ...]
+) -> list[tuple[int, int]] | None:
+    """Map each [MASK] in posref to a removed span of the original.
+
+    Backtracking search preferring the shortest (leftmost) span at each
+    mask; None when the positioned reference is inconsistent with the
+    original caption.  Exponential in the number of masks.
+    """
+
+    def rec(oi: int, pi: int, acc: list[tuple[int, int]]):
+        if pi == len(posref):
+            return list(acc) if oi == len(original) else None
+        tok = posref[pi]
+        if tok == MASK_TOKEN:
+            for ln in range(1, len(original) - oi + 1):
+                acc.append((oi, oi + ln))
+                hit = rec(oi + ln, pi + 1, acc)
+                acc.pop()
+                if hit is not None:
+                    return hit
+            return None
+        if oi < len(original) and original[oi] == tok:
+            return rec(oi + 1, pi + 1, acc)
+        return None
+
+    return rec(0, 0, [])

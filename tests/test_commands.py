@@ -1,10 +1,13 @@
+import itertools
 import json
 import random
+import time
 
 import pytest
 
 from capedit.commands import (
     KIND_ORDER,
+    _recover_del_spans,
     MASK_TOKEN,
     Command,
     CommandKind,
@@ -18,6 +21,7 @@ from capedit.errors import CommandError, ControlFormatError
 from capedit.text import LanguageMode, TokenSeq, tokenize
 
 from helpers import ATTR_WORDS, CAPTION_WORDS, random_caption
+from oracles import recover_del_spans_backtracking
 
 WORD = LanguageMode.WORD
 CHAR = LanguageMode.CHAR
@@ -184,6 +188,72 @@ def test_parse_del_inconsistent_original_raises():
     ctrl = "[o] [DEL] [/o] [a] [/a] [r] x [MASK] [/r]"
     with pytest.raises(ControlFormatError):
         parse(ctrl, original_ref=ref)
+
+
+def _recovered_or_none(original, posref):
+    try:
+        return _recover_del_spans(original, posref)
+    except ControlFormatError:
+        return None
+
+
+def test_recover_del_spans_matches_backtracking_exhaustively():
+    # every positioned reference over {a, b, MASK} up to 5 tokens against
+    # every original over {a, b, c} up to 5 tokens: 44,044 pairs
+    def words(alphabet, max_len):
+        for n in range(max_len + 1):
+            yield from itertools.product(alphabet, repeat=n)
+
+    originals = list(words("abc", 5))
+    for posref in words(("a", "b", MASK_TOKEN), 5):
+        for original in originals:
+            assert _recovered_or_none(original, posref) == recover_del_spans_backtracking(
+                original, posref
+            ), (original, posref)
+
+
+def test_recover_del_spans_matches_backtracking_on_random_shapes():
+    rng = random.Random(11)
+    for _ in range(300):
+        original = tuple(rng.choice("ab") for _ in range(rng.randint(1, 14)))
+        posref = list(original)
+        for _ in range(rng.randint(1, 3)):
+            start = rng.randrange(len(posref))
+            end = rng.randint(start + 1, min(len(posref), start + 3))
+            if MASK_TOKEN not in posref[start:end]:
+                posref[start:end] = [MASK_TOKEN]
+        if rng.random() < 0.3:
+            posref[rng.randrange(len(posref))] = rng.choice("ab")
+        posref = tuple(posref)
+        assert _recovered_or_none(original, posref) == recover_del_spans_backtracking(
+            original, posref
+        ), (original, posref)
+
+
+def test_parse_del_many_masks_with_mismatched_tail_within_budget():
+    # every placement of the 8 masks fits until the last token, so the
+    # backtracking search tries them all (about 45 s); the DP is linear
+    ref = TokenSeq(("a",) * 40 + ("end",), WORD)
+    ctrl = "[o] [DEL] [/o] [a] [/a] [r] " + "[MASK] a " * 8 + "other [/r]"
+    start = time.perf_counter()
+    with pytest.raises(ControlFormatError):
+        parse(ctrl, original_ref=ref)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_del_on_ten_thousand_tokens_within_budget():
+    # the recursive search raised RecursionError from about 3,000 tokens
+    rng = random.Random(5)
+    ref = TokenSeq(tuple(rng.choice(CAPTION_WORDS) for _ in range(10_000)), WORD)
+    cmd = Command(Operation.DEL, ((10, 12), (5_000, 5_003), (9_990, 10_000)))
+    ctrl = serialize(cmd, ref)
+    start = time.perf_counter()
+    parsed, posref = parse(ctrl, original_ref=ref)
+    assert time.perf_counter() - start < 2.0
+    assert make_positioned_reference(ref, parsed).tokens == posref.tokens
+    assert parsed.positions[2] == (9_990, 10_000)
+    with pytest.raises(ControlFormatError):
+        parse(ctrl.replace(" [/r]", " extra [/r]"), original_ref=ref)
 
 
 def test_parse_rejections():

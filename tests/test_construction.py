@@ -788,6 +788,13 @@ def test_construction_config_from_dict():
     assert config.removable_relations == frozenset({"obl"})
     with pytest.raises(DatasetError):
         ConstructionConfig.from_dict({"not_a_key": 1})
+    # null for an optional field, an integer for a float, a full split entry
+    config = ConstructionConfig.from_dict(
+        {"ppl_threshold": None, "max_per_kind": 3, "similarity_threshold": 1,
+         "split": {"ratios": [1, 0, 0], "seed": 2, "mapping": None}}
+    )
+    assert config.ppl_threshold is None and config.max_per_kind == 3
+    assert config.similarity_threshold == 1
 
 
 def test_edit_sample_validation():

@@ -9,7 +9,7 @@ import pytest
 from capedit import io as cio
 from capedit.cli import main
 from capedit.commands import Command, CommandKind, Operation, kind
-from capedit.construction import EditSample, Provenance
+from capedit.construction import CaptionGroup, EditSample, Provenance
 from capedit.editing import oracle_apply
 from capedit.errors import DatasetError
 from capedit.text import LanguageMode, detokenize, tokenize
@@ -165,7 +165,10 @@ def test_dataset_numbers_read_as_floats(tmp_path):
         tmp_path / "ppl.jsonl",
         '{"caption_id": "v#0", "ppl": 7}\n{"caption_id": "v#1", "ppl": 2.5}\n',
     )
-    assert cio.read_ppl(ppl) == {"v#0": 7.0, "v#1": 2.5}
+    groups = [CaptionGroup("v", (tokenize("a dog .", WORD), tokenize("a cat runs .", WORD)))]
+    by_caption = cio.read_ppl(ppl, groups)
+    assert by_caption == {("v", "a dog ."): 7.0, ("v", "a cat runs ."): 2.5}
+    assert all(type(v) is float for v in by_caption.values())
 
 
 def test_provenance_defaults_when_absent(tmp_path):
@@ -187,7 +190,8 @@ def test_provenance_defaults_when_absent(tmp_path):
 
 def test_predictions_round_trip(tmp_path):
     path = tmp_path / "preds.jsonl"
-    cio.write_predictions(str(path), [("a", "x y ."), ("b", "z .")])
+    with open(path, "w", encoding="utf-8") as fh:
+        cio.write_predictions(fh, [("a", "x y ."), ("b", "z .")])
     assert cio.read_predictions(str(path)) == {"a": "x y .", "b": "z ."}
     _write(path, '{"id": "a", "hypothesis": "x"}\n{"id": "a", "hypothesis": "y"}\n')
     with pytest.raises(DatasetError):
@@ -217,9 +221,10 @@ def test_read_captions_validation(tmp_path):
 
 
 def test_read_conllu_fixture(data_dir):
-    parsed = cio.read_conllu(str(data_dir / "parses.conllu"))
-    assert set(parsed) == {"vid1#0"}
-    tokens = parsed["vid1#0"]
+    parsed = cio.read_parses(str(data_dir / "parses.conllu"))
+    assert set(parsed) == {("vid1", 0)}
+    assert parsed[("vid1", 0)].caption_index == 0
+    tokens = parsed[("vid1", 0)].tokens
     assert len(tokens) == 12
     assert tokens[8].form == "playing"
     assert tokens[8].head == -1
@@ -236,39 +241,52 @@ def test_read_conllu_skips_multiword_rows(tmp_path):
         "2-3\tdogfood\t_\t_\t_\t_\t_\t_\t_\t_\n"
         "2\tdog\t_\tNOUN\t_\t_\t0\troot\t_\t_\n"
     )
-    parsed = cio.read_conllu(_write(tmp_path / "m.conllu", text))
-    assert [t.form for t in parsed["v#0"]] == ["a", "dog"]
+    parsed = cio.read_parses(_write(tmp_path / "m.conllu", text))
+    assert [t.form for t in parsed[("v", 0)].tokens] == ["a", "dog"]
 
 
 def test_read_conllu_errors(tmp_path):
     with pytest.raises(DatasetError) as err:
-        cio.read_conllu(_write(tmp_path / "a.conllu", "1\ta\tDET\n"))
+        cio.read_parses(_write(tmp_path / "a.conllu", "1\ta\tDET\n"))
     assert "10 tab-separated columns" in str(err.value)
 
     no_id = "1\ta\t_\tDET\t_\t_\t0\troot\t_\t_\n"
     with pytest.raises(DatasetError) as err:
-        cio.read_conllu(_write(tmp_path / "b.conllu", no_id))
+        cio.read_parses(_write(tmp_path / "b.conllu", no_id))
     assert "sent_id" in str(err.value)
 
     bad_head = "# sent_id = v#0\n1\ta\t_\tDET\t_\t_\tx\troot\t_\t_\n"
     with pytest.raises(DatasetError):
-        cio.read_conllu(_write(tmp_path / "c.conllu", bad_head))
+        cio.read_parses(_write(tmp_path / "c.conllu", bad_head))
+
+
+@pytest.mark.parametrize("field", ["predicate", "start", "end"])
+def test_read_parses_rejects_bool_srl_integers(tmp_path, data_dir, field):
+    frame = {"caption_id": "vid1#0", "predicate": 8,
+             "arguments": [{"label": "ARG0", "start": 0, "end": 4}]}
+    target = frame if field == "predicate" else frame["arguments"][0]
+    target[field] = True
+    srl = _write(tmp_path / "srl.jsonl", json.dumps(frame) + "\n")
+    with pytest.raises(DatasetError, match=f"srl.jsonl:1: {field} must be an integer, got True"):
+        cio.read_parses(str(data_dir / "parses.conllu"), srl)
 
 
 def test_read_srl_neighbors_ppl(data_dir):
-    frames = cio.read_srl(str(data_dir / "srl.jsonl"))
-    assert frames["vid1#0"][0].predicate == 8
-    assert ("ARG0", 0, 4) in frames["vid1#0"][0].arguments
     conllu = str(data_dir / "parses.conllu")
     parses = cio.read_parses(conllu, str(data_dir / "srl.jsonl"))
     assert list(parses) == [("vid1", 0)]
-    assert parses[("vid1", 0)].tokens == cio.read_conllu(conllu)["vid1#0"]
-    assert parses[("vid1", 0)].frames == frames["vid1#0"]
+    frames = parses[("vid1", 0)].frames
+    assert len(frames) == 1
+    assert frames[0].predicate == 8
+    assert ("ARG0", 0, 4) in frames[0].arguments
+    assert parses[("vid1", 0)].tokens == cio.read_parses(conllu)[("vid1", 0)].tokens
     assert cio.read_parses(conllu)[("vid1", 0)].frames == ()
     neighbors = cio.read_neighbors(str(data_dir / "neighbors.jsonl"))
     assert neighbors == {"vid2": ["vid1"], "vid1": []}
-    ppl = cio.read_ppl(str(data_dir / "ppl.jsonl"))
-    assert ppl == {"vid1#0": 42.0}
+    groups = cio.read_captions(str(data_dir / "captions.jsonl"))
+    ppl = cio.read_ppl(str(data_dir / "ppl.jsonl"), groups)
+    vid1 = next(g for g in groups if g.video_id == "vid1")
+    assert ppl == {("vid1", detokenize(vid1.captions[0])): 42.0}
 
 
 # ---------------------------------------------------------------- CLI
@@ -386,6 +404,22 @@ def test_cli_serialize_and_parse_control_round_trip(tmp_path, capsys):
         )
 
 
+@pytest.mark.parametrize(
+    "line, needle",
+    [
+        ("b\t[o] [FLIP] [/o] [a] [/a] [r] x [/r]", "unknown operation token [FLIP]"),
+        ("b [o] [ADD] [/o] [a] [/a] [r] x [/r]", "expected '<id>\\t<control string>'"),
+    ],
+    ids=["bad-control", "no-tab"],
+)
+def test_cli_parse_control_error_cites_its_line(tmp_path, capsys, line, needle):
+    good = "a\t[o] [ADD] [/o] [a] [/a] [r] x [/r]"
+    path = _write(tmp_path / "controls.tsv", f"{good}\n\n{line}\n")
+    assert main(["parse-control", "--in", path]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}:3: {needle}" in err
+
+
 def test_cli_align_reports_mask_spans(capsys):
     code = main([
         "align",
@@ -397,6 +431,23 @@ def test_cli_align_reports_mask_spans(capsys):
     assert rec["cost"] == 0
     assert rec["mask_spans"] == [[5, 7]]
     assert rec["mask_texts"] == ["field hockey"]
+
+
+@pytest.mark.parametrize(
+    "mode, ref, hyp, spans, texts",
+    [
+        ("zh-char", "一只[MASK]狗在[MASK]公园里跑", "一只小黄狗在大公园里跑步",
+         [[2, 4], [6, 7]], ["小黄", "大"]),
+        ("en-word", "A group of girls is[MASK] playing a game .",
+         "A group of girls is field hockey playing a game .", [[5, 7]], ["field hockey"]),
+    ],
+    ids=["zh-char", "en-word"],
+)
+def test_cli_align_reads_masks_without_spaces(capsys, mode, ref, hyp, spans, texts):
+    assert main(["align", "--mode", mode, "--ref", ref, "--hyp", hyp]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["mask_spans"] == spans
+    assert rec["mask_texts"] == texts
 
 
 def test_cli_session_script(tmp_path, capsys):
@@ -453,6 +504,27 @@ def test_cli_session_malformed_script_line_exits_two(tmp_path, capsys, lines, ba
     assert main(["session", "--script", script]) == 2
     err = capsys.readouterr().err
     assert f"{script}:{bad_line}:" in err and needle in err
+
+
+@pytest.mark.parametrize(
+    "rnd, needle",
+    [
+        ({"command": {"op": "add", "positions": [99]}}, "gap 99 out of range for length 5"),
+        ({"command": {"op": "add", "positions": [1]}}, "requires an insertion payload"),
+        ({"command": {"op": "del", "positions": [[2, 9]]}}, "(2, 9) out of range for length 5"),
+    ],
+    ids=["gap-past-end", "positional-add-without-payload", "span-past-end"],
+)
+def test_cli_session_round_error_cites_its_line(tmp_path, capsys, rnd, needle):
+    # the first round makes the 4-token caption 5 tokens long, and the
+    # bad round is checked against that
+    first = json.dumps({"command": {"op": "add", "attributes": ["big"]}})
+    script = _write(
+        tmp_path / "script.jsonl", "\n".join([_SESSION_HEAD, "", first, json.dumps(rnd)]) + "\n"
+    )
+    assert main(["session", "--script", script]) == 2
+    err = capsys.readouterr().err
+    assert f"{script}:4:" in err and needle in err
 
 
 def test_cli_construct_end_to_end(tmp_path, capsys, data_dir):
@@ -601,6 +673,24 @@ def test_cli_malformed_annotation_exits_two(tmp_path, capsys, data_dir, name, te
     assert where.format(path=path) in err and needle in err
 
 
+@pytest.mark.parametrize(
+    "cid", ["vid9#0", "vid1#7", "vid1"], ids=["unknown-video", "index-past-pool", "no-index"]
+)
+def test_cli_construct_unknown_ppl_caption_cites_its_line(tmp_path, capsys, data_dir, cid):
+    ppl = _write(
+        tmp_path / "ppl.jsonl",
+        json.dumps({"caption_id": "vid1#0", "ppl": 42.0}) + "\n"
+        + json.dumps({"caption_id": cid, "ppl": 3.0}) + "\n",
+    )
+    argv = [
+        "construct", "--captions", str(data_dir / "captions.jsonl"),
+        "--ppl", ppl, "--out", str(tmp_path / "corpus.jsonl"),
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{ppl}:2: perplexity entry for unknown caption {cid!r}" in err
+
+
 def _construct_argv(data_dir, out, config) -> list[str]:
     return [
         "construct",
@@ -612,6 +702,50 @@ def _construct_argv(data_dir, out, config) -> list[str]:
         "--config", config,
         "--out", str(out),
     ]
+
+
+@pytest.mark.parametrize(
+    "text, needle",
+    [
+        ('{"min_length_diff": 5,}', "invalid JSON"),
+        ('{"min_length_diff": "\udcff"}', "invalid JSON ('utf-8' codec can't decode"),
+        ('{"min_length_diff": "5"}', "min_length_diff must be a non-negative integer, got '5'"),
+        ('{"removable_relations": 5}', "removable_relations must be a list of strings, got 5"),
+        ('{"split": {"ratios": [1]}}', "split ratios must be three non-negative numbers"),
+        ('{"unknown_knob": 1}', "unknown construction config keys: ['unknown_knob']"),
+        ('{"merge_max_tokens": 1.5}', "merge_max_tokens must be a non-negative integer, got 1.5"),
+        ('{"max_per_kind": -1}', "max_per_kind must be a non-negative integer or null, got -1"),
+        ('{"balance_tolerance": -1}', "balance_tolerance must be a non-negative integer, got -1"),
+        ('{"similarity_threshold": true}', "similarity_threshold must be a number, got True"),
+        ('{"ppl_threshold": "10"}', "ppl_threshold must be a number or null, got '10'"),
+        ('{"attribute_pos": ["NOUN", 1]}', "attribute_pos must be a list of strings"),
+        ('{"attribute_pos": "NOUN"}', "attribute_pos must be a list of strings, got 'NOUN'"),
+        ('[1, 2]', "expected a JSON object, got list"),
+        ('{"split": 5}', "split must be an object of ratios, seed and mapping, got 5"),
+        ('{"split": {"ratios": [0.5, -0.25, 0.75]}}', "split ratios must be"),
+        ('{"split": {"ratios": "0.7"}}', "split ratios must be"),
+        ('{"split": {"ratios": [0.5, 0.5, 0.5]}}', "split ratios must be"),
+        ('{"min_length_diff": null}', "min_length_diff must be a non-negative integer, got None"),
+        ('{"split": {"seed": "1"}}', "split seed must be an integer, got '1'"),
+        ('{"split": {"mapping": {"vid1": "dev"}}}', "split mapping must map video ids"),
+        ('{"split": {"mapping": ["vid1"]}}', "split mapping must map video ids"),
+        ('{"split": {"ratio": [1, 0, 0]}}', "split must be an object of ratios, seed and mapping"),
+    ],
+    ids=[
+        "invalid-json", "not-utf8", "int-as-string", "set-as-number", "one-ratio", "unknown-key",
+        "int-as-float", "negative-cap", "negative-tolerance", "float-as-bool",
+        "optional-as-string", "set-with-number", "set-as-string", "not-an-object",
+        "split-not-an-object", "negative-ratio", "ratios-as-string", "ratios-sum-past-one",
+        "null-for-required", "seed-as-string",
+        "unknown-partition", "mapping-as-list", "unknown-split-key",
+    ],
+)
+def test_cli_construct_malformed_config_exits_two(tmp_path, capsys, data_dir, text, needle):
+    config = str(tmp_path / "config.json")
+    (tmp_path / "config.json").write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert main(_construct_argv(data_dir, tmp_path / "corpus.jsonl", config)) == 2
+    err = capsys.readouterr().err
+    assert f"error: {config}: " in err and needle in err
 
 
 @pytest.mark.parametrize(
