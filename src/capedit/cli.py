@@ -17,6 +17,7 @@ from capedit import io as cio
 from capedit.alignment import dsa_align, mask_span_tokens
 from capedit.commands import (
     MASK_TOKEN,
+    CommandKind,
     PositionedReference,
     kind,
     make_positioned_reference,
@@ -61,6 +62,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     groups = cio.read_captions(args.captions)
     config, split_spec = cio.read_config(args.config) if args.config else (None, None)
+    if args.srl and not args.parses:
+        raise DatasetError("--srl needs --parses: SRL frames attach to parsed captions")
     parses = cio.read_parses(args.parses, args.srl) if args.parses else {}
     neighbors = cio.read_neighbors(args.neighbors) if args.neighbors else None
     ppl = cio.read_ppl(args.ppl, groups) if args.ppl else None
@@ -101,29 +104,28 @@ def _cmd_serialize(args: argparse.Namespace) -> int:
 
 def _cmd_parse_control(args: argparse.Namespace) -> int:
     mode = LanguageMode.from_wire(args.mode)
-    with open(args.infile, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            rid, sep, ctrl = line.partition("\t")
-            try:
-                if not sep:
-                    raise DatasetError("expected '<id>\\t<control string>'")
-                cmd, posref = parse_control(ctrl, mode=mode)
-            except CapeditError as exc:
-                raise DatasetError(f"{args.infile}:{lineno}: {exc}") from exc
-            record = {
-                "id": rid,
-                "op": cmd.op.value,
-                "kind": kind(cmd).value,
-                "attributes": [
-                    join(p, mode) for p in cmd.attributes
-                ] if cmd.attributes else None,
-                "mask_indexes": list(posref.mask_indexes()),
-                "positioned_reference": " ".join(posref.tokens),
-            }
-            sys.stdout.write(json.dumps(record, ensure_ascii=False) + "\n")
+    for lineno, line in cio.read_lines(args.infile):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        rid, sep, ctrl = line.partition("\t")
+        try:
+            if not sep:
+                raise DatasetError("expected '<id>\\t<control string>'")
+            cmd, posref = parse_control(ctrl, mode=mode)
+        except CapeditError as exc:
+            raise DatasetError(f"{args.infile}:{lineno}: {exc}") from exc
+        record = {
+            "id": rid,
+            "op": cmd.op.value,
+            "kind": kind(cmd).value,
+            "attributes": [
+                join(p, mode) for p in cmd.attributes
+            ] if cmd.attributes else None,
+            "mask_indexes": list(posref.mask_indexes()),
+            "positioned_reference": " ".join(posref.tokens),
+        }
+        sys.stdout.write(json.dumps(record, ensure_ascii=False) + "\n")
     return 0
 
 
@@ -158,11 +160,11 @@ def _cmd_oracle_edit(args: argparse.Namespace) -> int:
     records = []
     for sample in samples:
         payload = sample.payload
-        if payload is None and kind(sample.command).value == "add_len":
-            payload = payload_from_truth(
-                sample.command, sample.reference, sample.ground_truth
-            )
         try:
+            if payload is None and kind(sample.command) is CommandKind.ADD_LEN:
+                payload = payload_from_truth(
+                    sample.command, sample.reference, sample.ground_truth
+                )
             edited = oracle_apply(
                 sample.command, sample.reference, payload, delta=args.delta
             )

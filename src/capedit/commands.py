@@ -39,6 +39,10 @@ class Operation(enum.Enum):
 
 
 class CommandKind(enum.Enum):
+    """The seven command kinds.  A value names the operation and the
+    fields the command gives ("add_pos_attr"); op, has_pos, has_attr and
+    the report label ("<add, pos, attr>") are read from it."""
+
     ADD_LEN = "add_len"
     ADD_POS = "add_pos"
     ADD_ATTR = "add_attr"
@@ -47,32 +51,12 @@ class CommandKind(enum.Enum):
     DEL_POS = "del_pos"
     DEL_ATTR = "del_attr"
 
-
-KIND_ORDER = (
-    CommandKind.ADD_LEN,
-    CommandKind.ADD_POS,
-    CommandKind.ADD_ATTR,
-    CommandKind.ADD_POS_ATTR,
-    CommandKind.DEL_LEN,
-    CommandKind.DEL_POS,
-    CommandKind.DEL_ATTR,
-)
-
-KIND_LABELS = {
-    CommandKind.ADD_LEN: "<add, -, ->",
-    CommandKind.ADD_POS: "<add, pos, ->",
-    CommandKind.ADD_ATTR: "<add, -, attr>",
-    CommandKind.ADD_POS_ATTR: "<add, pos, attr>",
-    CommandKind.DEL_LEN: "<del, -, ->",
-    CommandKind.DEL_POS: "<del, pos, ->",
-    CommandKind.DEL_ATTR: "<del, -, attr>",
-}
-
-ATTR_KINDS = frozenset(
-    {CommandKind.ADD_ATTR, CommandKind.ADD_POS_ATTR, CommandKind.DEL_ATTR}
-)
-# positional accuracy is judged only for add commands with explicit gaps
-POS_ACC_KINDS = frozenset({CommandKind.ADD_POS, CommandKind.ADD_POS_ATTR})
+    def __init__(self, value: str) -> None:
+        op, *given = value.split("_")
+        self.op = Operation(op)
+        self.has_pos = "pos" in given
+        self.has_attr = "attr" in given
+        self.label = f"<{op}, {'pos' if self.has_pos else '-'}, {'attr' if self.has_attr else '-'}>"
 
 
 def _check_attr_token(tok: str) -> None:
@@ -80,6 +64,24 @@ def _check_attr_token(tok: str) -> None:
         raise CommandError(f"bad attribute token {tok!r}")
     if tok in RESERVED_TOKENS or tok == ",":
         raise CommandError(f"attribute token {tok!r} collides with the control grammar")
+
+
+def _positions(op: Operation, positions) -> tuple:
+    """positions as a tuple of JSON-style ints (not bools): gap indexes
+    for add, (start, end) pairs for del."""
+    try:
+        # list comprehensions: a generator costs more per short tuple
+        if op is Operation.ADD:
+            pos = tuple(positions)
+            ok = all([type(p) is int for p in pos])
+        else:
+            pos = tuple([(s, e) for s, e in positions])
+            ok = all([type(s) is int and type(e) is int for s, e in pos])
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise CommandError(f"bad command positions {positions!r}")
+    return pos
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,7 @@ class Command:
     def __post_init__(self) -> None:
         pos = self.positions
         if pos is not None:
-            if self.op is Operation.ADD:
-                pos = tuple(int(p) for p in pos)
-            else:
-                pos = tuple((int(s), int(e)) for s, e in pos)
+            pos = _positions(self.op, pos)
             object.__setattr__(self, "positions", pos)
             if not pos:
                 raise CommandError("positions, when given, must be non-empty")
@@ -129,22 +128,12 @@ class Command:
             raise CommandError("the (del, positions, attributes) combination is not supported")
 
 
+# keyed by bools, not by Operation: an Enum's hash runs in Python code
+_KIND_OF = {(k.op is Operation.ADD, k.has_pos, k.has_attr): k for k in CommandKind}
+
+
 def kind(cmd: Command) -> CommandKind:
-    has_pos = cmd.positions is not None
-    has_attr = cmd.attributes is not None
-    if cmd.op is Operation.ADD:
-        if has_pos and has_attr:
-            return CommandKind.ADD_POS_ATTR
-        if has_pos:
-            return CommandKind.ADD_POS
-        if has_attr:
-            return CommandKind.ADD_ATTR
-        return CommandKind.ADD_LEN
-    if has_pos:
-        return CommandKind.DEL_POS
-    if has_attr:
-        return CommandKind.DEL_ATTR
-    return CommandKind.DEL_LEN
+    return _KIND_OF[cmd.op is Operation.ADD, cmd.positions is not None, cmd.attributes is not None]
 
 
 @dataclass(frozen=True)

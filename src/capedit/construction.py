@@ -30,7 +30,6 @@ from functools import cached_property
 from capedit import kernels
 from capedit import text as text_mod
 from capedit.commands import (
-    KIND_ORDER,
     Command,
     CommandKind,
     Operation,
@@ -468,11 +467,10 @@ def degrade(
     large = [(span, head) for span, head in maximal if span[1] - span[0] > config.merge_max_tokens]
 
     def make_result(members: list[tuple[tuple[int, int], int]]) -> Degradation | None:
+        # subtrees nest or are disjoint, so maximal branches never overlap
         members = sorted(members)
         spans_: list[tuple[int, int]] = []
         for (s, e), _ in members:
-            if spans_ and spans_[-1][1] > s:
-                return None
             if spans_ and spans_[-1][1] == s:  # touching branches: one removed span
                 spans_[-1] = (spans_[-1][0], e)
             else:
@@ -649,39 +647,42 @@ def make_attribute_samples(
     return out
 
 
+# each kind's coarser forms: the kinds of its operation whose fields are
+# a subset of its own, itself included
+_SUBKINDS = {
+    own: tuple(
+        k
+        for k in CommandKind
+        if k.op is own.op and k.has_pos <= own.has_pos and k.has_attr <= own.has_attr
+    )
+    for own in CommandKind
+}
+
+
 def claim_kinds(sample: EditSample, config: ConstructionConfig) -> set[CommandKind]:
-    """Kinds the sample can be re-assigned to (its own plus coarser
-    variants whose invariants it satisfies)."""
-    k = kind(sample.command)
-    out = {k}
-    add_diff = len(sample.ground_truth) - len(sample.reference)
-    del_diff = -add_diff
-    if k is CommandKind.ADD_POS_ATTR:
-        out |= {CommandKind.ADD_POS, CommandKind.ADD_ATTR}
-        if add_diff > config.min_length_diff:
-            out.add(CommandKind.ADD_LEN)
-    elif k in (CommandKind.ADD_POS, CommandKind.ADD_ATTR):
-        if add_diff > config.min_length_diff:
-            out.add(CommandKind.ADD_LEN)
-    elif k in (CommandKind.DEL_POS, CommandKind.DEL_ATTR):
-        if del_diff > config.min_length_diff:
-            out.add(CommandKind.DEL_LEN)
-    return out
+    """Kinds the sample can be re-assigned to: its own, and each kind of
+    its operation whose fields are a subset of its own.  A length-only
+    kind other than its own also needs the length to change by more than
+    min_length_diff in the operation's direction."""
+    own = kind(sample.command)
+    diff = len(sample.ground_truth) - len(sample.reference)
+    if own.op is Operation.DEL:
+        diff = -diff
+    longer = diff > config.min_length_diff
+    return {k for k in _SUBKINDS[own] if k is own or k.has_pos or k.has_attr or longer}
 
 
 def _reassign(sample: EditSample, target: CommandKind) -> EditSample:
+    """The sample under the target kind's command: positions and payload
+    stay only if the target has positions, attributes only if it has
+    attributes."""
     cmd = sample.command
-    if target is CommandKind.ADD_POS:
-        new_cmd = Command(Operation.ADD, cmd.positions, None)
-        return replace(sample, command=new_cmd)
-    if target is CommandKind.ADD_ATTR:
-        new_cmd = Command(Operation.ADD, None, cmd.attributes)
-        return replace(sample, command=new_cmd, payload=None)
-    if target is CommandKind.ADD_LEN:
-        return replace(sample, command=Command(Operation.ADD), payload=None)
-    if target is CommandKind.DEL_LEN:
-        return replace(sample, command=Command(Operation.DEL), payload=None)
-    raise ValueError(f"cannot reassign to {target}")
+    command = Command(
+        target.op,
+        cmd.positions if target.has_pos else None,
+        cmd.attributes if target.has_attr else None,
+    )
+    return replace(sample, command=command, payload=sample.payload if target.has_pos else None)
 
 
 def filter_and_balance(
@@ -736,7 +737,7 @@ def filter_and_balance(
                 )
                 pools[k] = [pools[k][i] for i in keep_idx]
 
-    return [s for k in KIND_ORDER for s in pools[k]]
+    return [s for k in CommandKind for s in pools[k]]
 
 
 def _next_move(

@@ -126,21 +126,38 @@ class _Record:
         return _Record(value, self.path, self.lineno)
 
 
+def read_lines(path: str):
+    """(line number, line) of a UTF-8 text file.  A byte that is not
+    UTF-8 is reported at the path:line holding it, which is looked up
+    only once the decoder has failed."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            with open(path, "rb") as raw:
+                # universal newlines, as the text reader counts lines
+                for lineno, line in enumerate(raw.read().splitlines(), start=1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError:
+                        break
+            raise DatasetError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from exc
+
+
 def _records(path: str):
     """The JSON objects of a JSONL file; blank lines are skipped."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = _Record(None, path, lineno)
-            try:
-                rec.data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise rec.error(f"invalid JSON ({exc})") from exc
-            if not isinstance(rec.data, dict):
-                raise rec.error(f"expected a JSON object, got {type(rec.data).__name__}")
-            yield rec
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        rec = _Record(None, path, lineno)
+        try:
+            rec.data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise rec.error(f"invalid JSON ({exc})") from exc
+        if not isinstance(rec.data, dict):
+            raise rec.error(f"expected a JSON object, got {type(rec.data).__name__}")
+        yield rec
 
 
 def _split_caption_id(cid: str) -> tuple[str, int] | None:
@@ -165,22 +182,11 @@ def _command_from_wire(rec: _Record, mode: LanguageMode) -> Command:
     except (KeyError, TypeError, ValueError):
         raise rec.error("bad command operation") from None
     cmd = rec.nested("command")
-    positions = cmd.data.get("positions")
-    if positions is not None:
-        try:
-            if op is Operation.ADD:
-                ok = all(type(p) is int for p in positions)
-            else:
-                ok = all(type(s) is int and type(e) is int for s, e in positions)
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise rec.error(f"bad command positions {positions!r}")
     attributes = None
     if cmd.has("attributes"):
         attributes = tuple(a.tokens for a in cmd.texts("attributes", "attribute", mode))
     try:
-        return Command(op, positions, attributes)
+        return Command(op, cmd.data.get("positions"), attributes)
     except CapeditError as exc:
         raise rec.error(str(exc)) from exc
 
@@ -344,7 +350,8 @@ def _read_conllu(path: str) -> dict[str, ParseAnnotation]:
 
     Columns used: FORM, UPOS, HEAD (1-based, 0 = root), DEPREL.  sent_id
     must be of the form "<video_id>#<caption_index>".  An invalid tree
-    is reported at the sentence's first line."""
+    and a missing or duplicate sent_id are reported at the sentence's
+    first line."""
     out: dict[str, ParseAnnotation] = {}
     sent_id = None
     start = 0
@@ -353,13 +360,13 @@ def _read_conllu(path: str) -> dict[str, ParseAnnotation]:
     def error(lineno: int, msg: str) -> DatasetError:
         return DatasetError(f"{path}:{lineno}: {msg}")
 
-    def flush(lineno: int) -> None:
+    def flush() -> None:
         nonlocal sent_id, start, tokens
         if tokens:
             if sent_id is None:
-                raise error(lineno, "sentence without a sent_id comment")
+                raise error(start, "sentence without a sent_id comment")
             if sent_id in out:
-                raise error(lineno, f"duplicate sent_id {sent_id!r}")
+                raise error(start, f"duplicate sent_id {sent_id!r}")
             try:
                 out[sent_id] = ParseAnnotation(_split_caption_id(sent_id)[1], tuple(tokens))
             except ValueError as exc:
@@ -368,38 +375,36 @@ def _read_conllu(path: str) -> dict[str, ParseAnnotation]:
         sent_id = None
         start = 0
 
-    with open(path, encoding="utf-8") as fh:
-        lineno = 0
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                flush(lineno)
-                continue
-            if not start:
-                start = lineno
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("sent_id"):
-                    _, _, value = body.partition("=")
-                    sent_id = value.strip()
-                    if _split_caption_id(sent_id) is None:
-                        raise error(
-                            lineno,
-                            f"sent_id {sent_id!r} is not of the form <video_id>#<caption_index>",
-                        )
-                continue
-            cols = line.split("\t")
-            if len(cols) != 10:
-                raise error(lineno, "expected 10 tab-separated columns")
-            tok_id, form, _, upos, _, _, head, deprel = cols[:8]
-            if "-" in tok_id or "." in tok_id:
-                continue  # multiword/empty nodes are not used
-            try:
-                head_idx = int(head) - 1
-            except ValueError:
-                raise error(lineno, f"bad HEAD value {head!r}") from None
-            tokens.append(DepToken(form, upos, head_idx, deprel.lower()))
-        flush(lineno + 1)
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            flush()
+            continue
+        if not start:
+            start = lineno
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("sent_id"):
+                _, _, value = body.partition("=")
+                sent_id = value.strip()
+                if _split_caption_id(sent_id) is None:
+                    raise error(
+                        lineno,
+                        f"sent_id {sent_id!r} is not of the form <video_id>#<caption_index>",
+                    )
+            continue
+        cols = line.split("\t")
+        if len(cols) != 10:
+            raise error(lineno, "expected 10 tab-separated columns")
+        tok_id, form, _, upos, _, _, head, deprel = cols[:8]
+        if "-" in tok_id or "." in tok_id:
+            continue  # multiword/empty nodes are not used
+        try:
+            head_idx = int(head) - 1
+        except ValueError:
+            raise error(lineno, f"bad HEAD value {head!r}") from None
+        tokens.append(DepToken(form, upos, head_idx, deprel.lower()))
+    flush()
     return out
 
 

@@ -38,10 +38,6 @@ from typing import NamedTuple
 from capedit import kernels
 from capedit.alignment import dsa_align, mask_span_lengths
 from capedit.commands import (
-    ATTR_KINDS,
-    KIND_LABELS,
-    KIND_ORDER,
-    POS_ACC_KINDS,
     CommandKind,
     Operation,
     kind,
@@ -87,23 +83,23 @@ def len_acc(unit: EvalUnit, config: EvalConfig | None = None) -> bool:
 
 def attr_acc(unit: EvalUnit) -> bool | None:
     """True/False for attribute kinds, None (not applicable) otherwise."""
-    k = kind(unit.sample.command)
-    if k not in ATTR_KINDS:
+    command = unit.sample.command
+    if command.attributes is None:
         return None
     hay = normalized_tokens(unit.hypothesis)
     mode = unit.hypothesis.mode
-    phrases = [normalize(p, mode) for p in unit.sample.command.attributes]
-    if unit.sample.command.op is Operation.ADD:
+    phrases = [normalize(p, mode) for p in command.attributes]
+    if command.op is Operation.ADD:
         return all(find_phrase(hay, p) >= 0 for p in phrases)
     return not any(find_phrase(hay, p) >= 0 for p in phrases)
 
 
 def pos_acc(unit: EvalUnit) -> bool | None:
     """True/False for add commands with gaps, None otherwise."""
-    k = kind(unit.sample.command)
-    if k not in POS_ACC_KINDS:
+    command = unit.sample.command
+    if command.op is not Operation.ADD or command.positions is None:
         return None
-    posref = make_positioned_reference(unit.sample.reference, unit.sample.command)
+    posref = make_positioned_reference(unit.sample.reference, command)
     result = dsa_align(posref, unit.hypothesis)
     return all(n > 0 for n in mask_span_lengths(result))
 
@@ -433,7 +429,7 @@ def evaluate_corpus(units: list[EvalUnit], config: EvalConfig | None = None) -> 
         by_kind[score.kind].add(score)
         overall.add(score)
     rows = tuple(
-        by_kind[k].row(k.value, KIND_LABELS[k]) for k in KIND_ORDER if k in by_kind
+        by_kind[k].row(k.value, k.label) for k in CommandKind if k in by_kind
     )
     return MetricReport(rows, overall.row("overall", "Overall"))
 

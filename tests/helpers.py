@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from capedit.commands import KIND_ORDER, Command, CommandKind, Operation
+from capedit.commands import Command, CommandKind, Operation
 from capedit.construction import EditSample, Provenance
 from capedit.editing import oracle_apply
 from capedit.metrics import EvalUnit
@@ -154,7 +154,7 @@ def make_sample(
 def make_samples(
     rng: random.Random,
     per_kind: int,
-    kinds=KIND_ORDER,
+    kinds=tuple(CommandKind),
     delta: int = 1,
 ) -> list[EditSample]:
     out = []
@@ -166,7 +166,7 @@ def make_samples(
 
 
 def make_units(
-    rng: random.Random, per_kind: int, kinds=KIND_ORDER, delta: int = 1
+    rng: random.Random, per_kind: int, kinds=tuple(CommandKind), delta: int = 1
 ) -> list[EvalUnit]:
     """Units whose hypothesis is exactly the ground truth."""
     return [

@@ -4,11 +4,13 @@ These deliberately avoid the library's code paths: plain recursion for
 edit distance, subsequence enumeration for LCS, the cell-by-cell
 two-row DPs for both (fast enough for long random inputs),
 exhaustive monotone alignment enumeration (iterative deepening) for
-the aligner, a list-based multiset calculator for SARI, a balancer
-that rescans every donor pool with claim_kinds on every move, a
+the aligner, a list-based multiset calculator for SARI, the claim
+sets and reassignment of balancing as one branch per kind, a balancer
+that rescans every donor pool with those claim sets on every move, a
 similarity join that scores every ordered pair of videos, a
 two-pass evaluator that rescores every unit for each report row with
-Counter arithmetic for SARI and BLEU, the aligner as a full-table DP,
+Counter arithmetic for SARI and BLEU and each kind's report label
+written out, the aligner as a full-table DP,
 the SARI/BLEU overlap counts from per-order dict counts, and the del
 span recovery as a backtracking search.
 """
@@ -18,16 +20,11 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 from capedit import text as text_mod
-from capedit.commands import KIND_LABELS, KIND_ORDER, MASK_TOKEN, CommandKind, kind
-from capedit.construction import (
-    ConstructionConfig,
-    _content_tokens,
-    _jaccard,
-    _reassign,
-    claim_kinds,
-)
+from capedit.commands import MASK_TOKEN, Command, CommandKind, Operation, kind
+from capedit.construction import ConstructionConfig, _content_tokens, _jaccard
 from capedit.kernels import _MASK, OP_DEL, OP_INS, OP_MASK, OP_MATCH, OP_SUB
 from capedit.metrics import (
     EvalConfig,
@@ -242,10 +239,59 @@ def sari_independent(source, hypothesis, truth) -> float:
     return (keep / 4.0 + delete / 4.0 + add / 4.0) / 3.0
 
 
+KIND_LABELS = {
+    CommandKind.ADD_LEN: "<add, -, ->",
+    CommandKind.ADD_POS: "<add, pos, ->",
+    CommandKind.ADD_ATTR: "<add, -, attr>",
+    CommandKind.ADD_POS_ATTR: "<add, pos, attr>",
+    CommandKind.DEL_LEN: "<del, -, ->",
+    CommandKind.DEL_POS: "<del, pos, ->",
+    CommandKind.DEL_ATTR: "<del, -, attr>",
+}
+
+
+def claim_kinds_table(sample, config: ConstructionConfig) -> set:
+    """construction.claim_kinds with each kind's coarser kinds listed by
+    hand: kinds the sample can be re-assigned to (its own plus coarser
+    variants whose invariants it satisfies)."""
+    k = kind(sample.command)
+    out = {k}
+    add_diff = len(sample.ground_truth) - len(sample.reference)
+    del_diff = -add_diff
+    if k is CommandKind.ADD_POS_ATTR:
+        out |= {CommandKind.ADD_POS, CommandKind.ADD_ATTR}
+        if add_diff > config.min_length_diff:
+            out.add(CommandKind.ADD_LEN)
+    elif k in (CommandKind.ADD_POS, CommandKind.ADD_ATTR):
+        if add_diff > config.min_length_diff:
+            out.add(CommandKind.ADD_LEN)
+    elif k in (CommandKind.DEL_POS, CommandKind.DEL_ATTR):
+        if del_diff > config.min_length_diff:
+            out.add(CommandKind.DEL_LEN)
+    return out
+
+
+def reassign_branches(sample, target: CommandKind):
+    """construction._reassign with one branch per target kind."""
+    cmd = sample.command
+    if target is CommandKind.ADD_POS:
+        new_cmd = Command(Operation.ADD, cmd.positions, None)
+        return replace(sample, command=new_cmd)
+    if target is CommandKind.ADD_ATTR:
+        new_cmd = Command(Operation.ADD, None, cmd.attributes)
+        return replace(sample, command=new_cmd, payload=None)
+    if target is CommandKind.ADD_LEN:
+        return replace(sample, command=Command(Operation.ADD), payload=None)
+    if target is CommandKind.DEL_LEN:
+        return replace(sample, command=Command(Operation.DEL), payload=None)
+    raise ValueError(f"cannot reassign to {target}")
+
+
 def filter_and_balance_rescan(samples, config=None, seed: int = 0) -> list:
     """construction.filter_and_balance without cached claim sets: every
     move re-sorts the kinds by population and rebuilds the donor's
-    movable list by calling claim_kinds on each pool member."""
+    movable list by calling claim_kinds_table on each pool member, and
+    moves with reassign_branches."""
     config = config or ConstructionConfig()
     rng = random.Random(seed)
 
@@ -277,13 +323,13 @@ def filter_and_balance_rescan(samples, config=None, seed: int = 0) -> list:
                 movable = [
                     i
                     for i, s in enumerate(pools[donor])
-                    if recipient in claim_kinds(s, config)
+                    if recipient in claim_kinds_table(s, config)
                 ]
                 if not movable:
                     continue
                 idx = movable[rng.randrange(len(movable))]
                 sample = pools[donor].pop(idx)
-                pools[recipient].append(_reassign(sample, recipient))
+                pools[recipient].append(reassign_branches(sample, recipient))
                 moved = True
                 break
             if moved:
@@ -297,7 +343,7 @@ def filter_and_balance_rescan(samples, config=None, seed: int = 0) -> list:
                 keep_idx = sorted(rng.sample(range(len(pools[k])), config.max_per_kind))
                 pools[k] = [pools[k][i] for i in keep_idx]
 
-    return [s for k in KIND_ORDER for s in pools[k]]
+    return [s for k in CommandKind for s in pools[k]]
 
 
 def neighbors_all_pairs(groups, similarity_threshold: float) -> dict:
@@ -433,7 +479,7 @@ def evaluate_corpus_two_pass(units, config=None) -> MetricReport:
         by_kind.setdefault(kind(u.sample.command), []).append(u)
     rows = tuple(
         _two_pass_row(k.value, KIND_LABELS[k], by_kind[k], config)
-        for k in KIND_ORDER
+        for k in CommandKind
         if k in by_kind
     )
     return MetricReport(rows, _two_pass_row("overall", "Overall", units, config))

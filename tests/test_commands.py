@@ -6,7 +6,6 @@ import time
 import pytest
 
 from capedit.commands import (
-    KIND_ORDER,
     _recover_del_spans,
     MASK_TOKEN,
     Command,
@@ -57,6 +56,21 @@ def test_position_validation():
         Command(Operation.DEL, ((0, 3), (2, 4)))
     # adjacent spans stay disjoint
     assert Command(Operation.DEL, ((0, 2), (2, 4))).positions == ((0, 2), (2, 4))
+    # JSON-style ints only, each del position a pair; nothing is coerced
+    for op, positions in (
+        (Operation.ADD, (1.7,)),
+        (Operation.ADD, (True,)),
+        (Operation.ADD, ("1",)),
+        (Operation.DEL, [3]),
+        (Operation.ADD, 5),
+        (Operation.DEL, 5),
+        (Operation.DEL, ((0, 1.7),)),
+        (Operation.DEL, ((True, 1),)),
+        (Operation.DEL, (("0", "2"),)),
+        (Operation.DEL, ((0, 1, 2),)),
+    ):
+        with pytest.raises(CommandError, match="bad command positions"):
+            Command(op, positions)
 
 
 def test_attribute_validation():
@@ -72,6 +86,10 @@ def test_attribute_validation():
         Command(Operation.ADD, None, ((",",),))
     with pytest.raises(CommandError):
         Command(Operation.ADD, None, (("[r]",),))
+    with pytest.raises(CommandError, match="bad attribute token"):
+        Command(Operation.ADD, None, (("light blue",),))
+    with pytest.raises(CommandError, match="bad attribute token"):
+        Command(Operation.ADD, None, (("",),))
 
 
 def test_positioned_reference_weaves_gaps():
@@ -131,7 +149,7 @@ def test_golden_control_strings(data_dir):
         json.loads(line)
         for line in (data_dir / "golden_controls.jsonl").read_text().splitlines()
     ]
-    assert [r["kind"] for r in records] == [k.value for k in KIND_ORDER]
+    assert [r["kind"] for r in records] == [k.value for k in CommandKind]
     for rec in records:
         positions = rec["positions"]
         if positions is not None and rec["op"] == "del":
@@ -269,6 +287,13 @@ def test_parse_rejections():
         parse("[o] [ADD] [/o] [a] [r] x [/a] [r] a [/r]")
     with pytest.raises(ControlFormatError):
         parse(good + " extra")
+    with pytest.raises(ControlFormatError, match="missing operation token"):
+        parse("[o]")
+    with pytest.raises(ControlFormatError, match="unexpected \\[a\\] inside reference block"):
+        parse("[o] [ADD] [/o] [a] [/a] [r] a [a] [/r]")
+    for ctrl in (good, "[o] [ADD] [/o] [a] [/a] [r] a [MASK] b [/r]", "[o] [DEL] [/o] [a] [/a] [r] a b [/r]"):
+        with pytest.raises(ControlFormatError, match="reference block does not match"):
+            parse(ctrl, original_ref=tokenize("a c", WORD))
     with pytest.raises(ControlFormatError):
         parse("[o] [ADD] [/o] [a] red , , blue [/a] [r] a [/r]")
     with pytest.raises(ControlFormatError):
@@ -307,7 +332,7 @@ def _random_command(rng: random.Random, k: CommandKind, L: int) -> Command:
 def test_codec_round_trip_randomized():
     rng = random.Random(23)
     for _ in range(400):
-        k = rng.choice(KIND_ORDER)
+        k = rng.choice(tuple(CommandKind))
         ref = random_caption(rng)
         cmd = _random_command(rng, k, len(ref))
         ctrl = serialize(cmd, ref)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from capedit import construction
-from capedit.commands import KIND_ORDER, Command, CommandKind, Operation, kind
+from capedit.commands import Command, CommandKind, Operation, kind
 from capedit.construction import (
     CaptionGroup,
     ConstructionConfig,
@@ -30,7 +30,13 @@ from capedit.errors import CommandError, DatasetError
 from capedit.text import LanguageMode, TokenSeq, detokenize, tokenize
 
 from helpers import make_sample, make_samples
-from oracles import filter_and_balance_rescan, neighbors_all_pairs
+from oracles import (
+    KIND_LABELS,
+    claim_kinds_table,
+    filter_and_balance_rescan,
+    neighbors_all_pairs,
+    reassign_branches,
+)
 
 WORD = LanguageMode.WORD
 
@@ -364,6 +370,70 @@ def test_degrade_respects_min_remaining():
     assert degrade(caption, ann) == []
 
 
+def test_degrade_rejection_rules():
+    # "home" (obl) heads {fast, home}, split by "today": not contiguous
+    split = T("men run fast today home .")
+    ann = ParseAnnotation(
+        0,
+        _dep(
+            ("men", "NOUN", 1, "nsubj"),
+            ("run", "VERB", -1, "root"),
+            ("fast", "ADV", 4, "advmod"),
+            ("today", "NOUN", 1, "obl"),
+            ("home", "NOUN", 1, "obl"),
+            (".", "PUNCT", 1, "punct"),
+        ),
+    )
+    assert [d.removed_spans for d in degrade(split, ann)] == [((2, 3),), ((3, 4),)]
+
+    # a removable relation whose head cannot serve as an attribute
+    negated = T("dogs do not bark .")
+    ann = ParseAnnotation(
+        0,
+        _dep(
+            ("dogs", "NOUN", 3, "nsubj"),
+            ("do", "AUX", 3, "aux"),
+            ("not", "PART", 3, "advmod"),
+            ("bark", "VERB", -1, "root"),
+            (".", "PUNCT", 3, "punct"),
+        ),
+    )
+    assert degrade(negated, ann) == []
+
+    # "big" lies inside the "on the big field" branch: only the maximal one
+    field = T("kids play on the big field .")
+    ann = ParseAnnotation(
+        0,
+        _dep(
+            ("kids", "NOUN", 1, "nsubj"),
+            ("play", "VERB", -1, "root"),
+            ("on", "ADP", 5, "case"),
+            ("the", "DET", 5, "det"),
+            ("big", "ADJ", 5, "amod"),
+            ("field", "NOUN", 1, "obl"),
+            (".", "PUNCT", 1, "punct"),
+        ),
+    )
+    degs = degrade(field, ann)
+    assert [d.removed_spans for d in degs] == [((2, 6),)]
+    assert degs[0].attributes == (("field",),)
+
+    # each adjective alone leaves 4 tokens, the merged pair only 3
+    dogs = T("big red dogs run .")
+    ann = ParseAnnotation(
+        0,
+        _dep(
+            ("big", "ADJ", 2, "amod"),
+            ("red", "ADJ", 2, "amod"),
+            ("dogs", "NOUN", 3, "nsubj"),
+            ("run", "VERB", -1, "root"),
+            (".", "PUNCT", 3, "punct"),
+        ),
+    )
+    assert [d.removed_spans for d in degrade(dogs, ann)] == [((0, 2),)]
+    assert degrade(dogs, ann, ConstructionConfig(min_remaining_tokens=4)) == []
+
+
 def test_degrade_checks_caption_parse_agreement():
     with pytest.raises(DatasetError):
         degrade(T("a dog ."), GIRLS_PARSE)
@@ -476,6 +546,41 @@ def _pos_attr_sample(i: int) -> EditSample:
     )
 
 
+def _sample_of_kind(k: CommandKind, diff: int) -> EditSample:
+    """A k sample whose ground truth is diff tokens longer than its
+    12-token reference, with a payload when k has positions."""
+    positions = None
+    if k.has_pos:
+        positions = (1, 3) if k.op is Operation.ADD else ((0, 1), (2, 4))
+    return EditSample(
+        id="x",
+        video_id="v",
+        mode=WORD,
+        command=Command(k.op, positions, (("red",), ("fast",)) if k.has_attr else None),
+        reference=TokenSeq(tuple(f"r{i}" for i in range(12)), WORD),
+        ground_truth=TokenSeq(tuple(f"g{i}" for i in range(12 + diff)), WORD),
+        provenance=Provenance.REVERSAL if k.has_pos else Provenance.RELAXATION,
+        payload=(("a",), ("b", "c")) if k.has_pos else None,
+    )
+
+
+def test_kind_fields_match_the_per_kind_tables():
+    for k in CommandKind:
+        assert k.label == KIND_LABELS[k]
+        for min_length_diff in (0, 2, 5):
+            config = ConstructionConfig(min_length_diff=min_length_diff)
+            for diff in range(-10, 11):
+                sample = _sample_of_kind(k, diff)
+                claims = claim_kinds(sample, config)
+                assert claims == claim_kinds_table(sample, config), (k, diff, min_length_diff)
+                assert construction._reassign(sample, k) == sample
+                for target in claims - {k}:
+                    new = construction._reassign(sample, target)
+                    old = reassign_branches(sample, target)
+                    assert (new.command, new.payload) == (old.command, old.payload)
+                    assert new == old
+
+
 def test_claim_kinds():
     config = ConstructionConfig()
     big = _pos_attr_sample(0)
@@ -558,7 +663,7 @@ def test_max_per_kind_cap():
 # fall on both sides of the min_length_diff values used below
 _RESERVOIR = {
     k: [make_sample(random.Random(1000 * i + j), k, f"v{j}") for j in range(30)]
-    for i, k in enumerate(KIND_ORDER)
+    for i, k in enumerate(CommandKind)
 }
 
 
@@ -566,7 +671,7 @@ def _random_mix(rng: random.Random) -> list[EditSample]:
     """A random kind mix: some kinds absent, some dominant, ids unique,
     a third of the samples carrying a perplexity."""
     out = []
-    for k in KIND_ORDER:
+    for k in CommandKind:
         for s in rng.sample(_RESERVOIR[k], rng.choice((0, 1, 2, 5, 12, 30))):
             ppl = rng.choice((None, 5.0, 50.0))
             out.append(replace(s, id=f"t{len(out):04d}", ppl=ppl))
@@ -657,6 +762,25 @@ def test_construct_corpus_checks_each_sample_once(monkeypatch):
     # perplexity and id copies are not checked again
     assert len(checks) == built[0] + len(moves)
     assert any(s.ppl == 42.0 for s in samples)
+
+
+def test_edit_sample_checks():
+    common = dict(id="a", video_id="v", provenance=Provenance.REVERSAL)
+    with pytest.raises(ValueError, match="language mode disagrees"):
+        EditSample(
+            mode=LanguageMode.CHAR, command=Command(Operation.ADD),
+            reference=T("a ."), ground_truth=T("a b ."), **common,
+        )
+    with pytest.raises(ValueError, match="payload span count"):
+        EditSample(
+            mode=WORD, command=Command(Operation.ADD, (1, 2)),
+            reference=T("a b ."), ground_truth=T("a x b y ."), payload=(("x",),), **common,
+        )
+
+
+def test_jaccard_of_two_empty_pools_is_zero():
+    assert construction._jaccard(frozenset(), frozenset()) == 0.0
+    assert construction._jaccard(frozenset({"dog"}), frozenset()) == 0.0
 
 
 def test_corpus_stats():

@@ -16,7 +16,6 @@ from capedit.metrics import EvalConfig, EvalUnit, attr_acc, len_acc, pos_acc
 from capedit.text import LanguageMode, TokenSeq, detokenize, tokenize
 
 from helpers import make_sample
-from capedit.commands import KIND_ORDER
 
 WORD = LanguageMode.WORD
 CHAR = LanguageMode.CHAR
@@ -144,7 +143,7 @@ def test_char_mode_editing():
 def test_oracle_satisfies_its_own_commands():
     rng = random.Random(101)
     config = EvalConfig()
-    for k in KIND_ORDER:
+    for k in CommandKind:
         for _ in range(25):
             sample = make_sample(rng, k, "v0")
             unit = EvalUnit(sample, sample.ground_truth)

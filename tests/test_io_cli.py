@@ -639,6 +639,8 @@ _ROOT_ROW = "1\ta\t_\tDET\t_\t_\t0\troot\t_\t_\n"
         ("parses.conllu", "# sent_id = vid1#1\n" + _ROOT_ROW + "\n\n# sent_id = vid1#2\n"
          + _ROOT_ROW + _ROOT_ROW.replace("1\ta", "2\tb"),
          "{path}:5: sentence 'vid1#2'", "exactly one root"),
+        ("parses.conllu", "# sent_id = vid1#0\n" + _ROOT_ROW + "\n# sent_id = vid1#0\n" + _ROOT_ROW,
+         "{path}:4:", "duplicate sent_id 'vid1#0'"),
     ],
     ids=[
         "srl-predicate-string", "srl-predicate-float", "srl-argument-without-label",
@@ -651,6 +653,7 @@ _ROOT_ROW = "1\ta\t_\tDET\t_\t_\t0\troot\t_\t_\n"
         "captions-string", "captions-not-strings", "captions-video-id-number",
         "neighbors-video-id-null", "ppl-caption-id-number", "srl-caption-id-list",
         "srl-label-number", "conllu-cycle", "conllu-second-sentence-two-roots",
+        "conllu-duplicate-sent-id",
     ],
 )
 def test_cli_malformed_annotation_exits_two(tmp_path, capsys, data_dir, name, text, where, needle):
@@ -834,6 +837,101 @@ def test_cli_construct_stacked_adjectives(tmp_path):
     for s in samples:
         if s.payload is not None:
             assert oracle_apply(s.command, s.reference, s.payload) == s.ground_truth
+
+
+def test_cli_construct_srl_needs_parses(tmp_path, capsys, data_dir):
+    srl = _write(tmp_path / "srl.jsonl", '{"caption_id": 5}\n')
+    out = tmp_path / "corpus.jsonl"
+    argv = ["construct", "--captions", str(data_dir / "captions.jsonl"), "--srl", srl,
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: --srl needs --parses" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_construct_without_samples_exits_two(tmp_path, capsys):
+    captions = _write(
+        tmp_path / "captions.jsonl",
+        json.dumps({"video_id": "v", "lang": "en-word", "captions": ["a dog runs ."]}) + "\n",
+    )
+    assert main(["construct", "--captions", captions, "--out", str(tmp_path / "c.jsonl")]) == 2
+    assert "error: construction produced no samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rec, needle",
+    [
+        # nothing before the final punctuation is left to drop
+        (_record(command={"op": "del"}, reference=".", ground_truth="a"), "cannot shorten"),
+        # no surplus tail of the truth to insert
+        (_record(reference="a b c .", ground_truth="a ."), "ground truth is not longer"),
+    ],
+    ids=["del-len-of-punctuation", "add-len-with-shorter-truth"],
+)
+def test_cli_oracle_edit_unrealizable_sample_exits_two(tmp_path, capsys, rec, needle):
+    ds = _write(tmp_path / "ds.jsonl", json.dumps(rec) + "\n")
+    assert main(["oracle-edit", "--dataset", ds]) == 2
+    assert f"error: sample 'r0': {needle}" in capsys.readouterr().err
+
+
+def test_cli_session_empty_script_exits_two(tmp_path, capsys):
+    script = _write(tmp_path / "script.jsonl", "\n\n")
+    assert main(["session", "--script", script]) == 2
+    assert f"error: {script}: empty session script" in capsys.readouterr().err
+
+
+def test_cli_internal_error_exits_one(tmp_path, capsys, monkeypatch):
+    def broken(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cio, "read_dataset", broken)
+    assert main(["stats", "--dataset", str(tmp_path / "any.jsonl")]) == 1
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+_UTF8_READERS = ("dataset", "predictions", "captions", "parses", "srl", "neighbors", "ppl",
+                 "controls", "session")
+
+
+@pytest.mark.parametrize("padding", [0, 10_000], ids=["first-line", "past-8-KiB"])
+@pytest.mark.parametrize("reader", _UTF8_READERS)
+def test_cli_non_utf8_input_exits_two_at_its_line(tmp_path, capsys, data_dir, reader, padding):
+    """A byte that is not UTF-8 is reported at its path:line, also past the
+    first 8 KiB the decoder reads at once."""
+    dataset = _write(tmp_path / "ds.jsonl", json.dumps(_record()) + "\n")
+    files = {
+        n: str(data_dir / f"{n}.{'conllu' if n == 'parses' else 'jsonl'}")
+        for n in ("captions", "parses", "srl", "neighbors", "ppl")
+    }
+    good = {
+        "dataset": json.dumps(_record()),
+        "predictions": json.dumps({"id": "r0", "hypothesis": "a b c ."}),
+        "controls": "a\t[o] [ADD] [/o] [a] [/a] [r] x [/r]",
+        "session": _SESSION_HEAD,
+    }
+    if reader not in good:
+        with open(files[reader], encoding="utf-8") as fh:
+            good[reader] = fh.read().rstrip("\n")
+    # a valid start, then blank lines past the first 8 KiB, then the bad
+    # line, then lines that are never read
+    text = good[reader] + "\n" * (padding + 1) if padding else ""
+    path = tmp_path / f"bad-{reader}"
+    path.write_bytes(text.encode("utf-8") + b'{"caption": "caf\xe9"}\n' + b"{}\n" * 3)
+    files[reader] = path = str(path)
+    argv = {
+        "dataset": ["stats", "--dataset", path],
+        "predictions": ["evaluate", "--dataset", dataset, "--predictions", path],
+        "controls": ["parse-control", "--in", path],
+        "session": ["session", "--script", path],
+    }.get(reader, [
+        "construct", "--captions", files["captions"], "--parses", files["parses"],
+        "--srl", files["srl"], "--neighbors", files["neighbors"], "--ppl", files["ppl"],
+        "--out", str(tmp_path / "corpus.jsonl"),
+    ])
+    assert main(argv) == 2
+    line = text.count("\n") + 1
+    assert f"error: {path}:{line}: not UTF-8" in capsys.readouterr().err
+    assert len(text) > 8192 or line == 1
 
 
 def test_cli_stats(tmp_path, capsys):

@@ -218,6 +218,8 @@ def test_bleu_is_corpus_level():
     # pooled counts, not a mean of per-sentence scores
     assert bleu4(units) == bleu4(units + units)
     assert bleu4(units) != (bleu4(units[:1]) + bleu4(units[1:])) / 2.0
+    with pytest.raises(ValueError, match="empty corpus"):
+        bleu4([])
 
 
 def test_evaluate_corpus_rows_and_applicability():

@@ -31,6 +31,8 @@ def test_word_tokenize_basic():
     assert toks("A group of girls is playing a game.") == (
         "A", "group", "of", "girls", "is", "playing", "a", "game", ".",
     )
+    seq = tokenize("A dog runs.", WORD)
+    assert list(seq) == ["A", "dog", "runs", "."] and len(seq) == 4
 
 
 def test_word_tokenize_detaches_edge_punctuation():
