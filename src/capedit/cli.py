@@ -24,7 +24,7 @@ from capedit.commands import (
     parse as parse_control,
     serialize,
 )
-from capedit.construction import construct_corpus, corpus_stats, partition_videos
+from capedit.construction import SPLIT_RATIOS, construct_corpus, corpus_stats, partition_videos
 from capedit.editing import oracle_apply, payload_from_truth, session_step
 from capedit.errors import CapeditError, DatasetError, OracleError
 from capedit.metrics import EvalConfig, EvalUnit, evaluate_corpus, format_report_table
@@ -64,8 +64,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     config, split_spec = cio.read_config(args.config) if args.config else (None, None)
     if args.srl and not args.parses:
         raise DatasetError("--srl needs --parses: SRL frames attach to parsed captions")
-    parses = cio.read_parses(args.parses, args.srl) if args.parses else {}
-    neighbors = cio.read_neighbors(args.neighbors) if args.neighbors else None
+    parses = cio.read_parses(args.parses, groups, args.srl) if args.parses else {}
+    neighbors = cio.read_neighbors(args.neighbors, groups) if args.neighbors else None
     ppl = cio.read_ppl(args.ppl, groups) if args.ppl else None
     samples = construct_corpus(
         groups, parses, config, seed=args.seed, neighbors=neighbors, ppl=ppl
@@ -77,7 +77,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         partition = partition_videos(
             samples,
             mapping=split_spec.get("mapping"),
-            ratios=tuple(split_spec.get("ratios", (0.7, 0.1, 0.2))),
+            ratios=tuple(split_spec.get("ratios", SPLIT_RATIOS)),
             seed=split_spec.get("seed", args.seed),
         )
     cio.write_dataset(args.out, samples, partition)

@@ -16,7 +16,9 @@ Attribute phrases are separated by a standalone "," token; an empty
 attribute block renders as "[a] [/a]".  Inside [r]..[/r] each [MASK]
 marks an insertion gap (add) or a removed span (del).  The codec is
 bit-exact: parse(serialize(c, r)) reproduces the command kind, the
-operation, the attributes, and the mask indexes.
+operation, the attributes, and the mask indexes.  Parsing a del
+control against its original caption recovers each removed span with
+the kernels' token match table (kernels._match_masks).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from capedit import kernels
 from capedit.errors import CommandError, ControlFormatError
 from capedit.text import LanguageMode, TokenSeq
 
@@ -228,15 +231,15 @@ def _recover_del_spans(
 ) -> list[tuple[int, int]]:
     """Map each [MASK] in posref to a removed span of the original.
 
-    Bit i of reach[p] is set when posref[p:] matches original[i:], each
-    mask covering at least one token.  Reading forward, each mask takes
-    the shortest span after which the rest can still match, so the
-    spans are the leftmost-shortest ones; raises when the positioned
-    reference is inconsistent with the original caption.
+    Bit i of at[t], the kernels' match table of the original, is set
+    when original[i] == t.  Bit i of reach[p] is set when posref[p:]
+    matches original[i:], each mask covering at least one token.
+    Reading forward, each mask takes the shortest span after which the
+    rest can still match, so the spans are the leftmost-shortest ones;
+    raises when the positioned reference is inconsistent with the
+    original caption.
     """
-    at: dict[str, int] = {}
-    for i, tok in enumerate(original):
-        at[tok] = at.get(tok, 0) | (1 << i)
+    at = kernels._match_masks(original)
     reach = [0] * len(posref) + [1 << len(original)]
     for p in range(len(posref) - 1, -1, -1):
         rest = reach[p + 1]

@@ -136,6 +136,15 @@ class ParseAnnotation:
     def root(self) -> int:
         return next(i for i, t in enumerate(self.tokens) if t.head == -1)
 
+    def check_caption(self, caption: TokenSeq) -> None:
+        """Raise DatasetError unless the parse's forms are the caption's tokens."""
+        n = len(caption)
+        if len(self.tokens) != n:
+            raise DatasetError(f"parse has {len(self.tokens)} tokens for a {n}-token caption")
+        for i, (tok, ptok) in enumerate(zip(caption.tokens, self.tokens)):
+            if tok != ptok.form:
+                raise DatasetError(f"parse token {i} is {ptok.form!r}, caption has {tok!r}")
+
 
 @dataclass(frozen=True)
 class EditSample:
@@ -265,7 +274,7 @@ def _check_split(split, fail) -> None:
     "mapping": {video_id: partition}}, each key optional."""
     if not isinstance(split, dict) or not set(split) <= {"ratios", "seed", "mapping"}:
         raise fail(f"split must be an object of ratios, seed and mapping, got {split!r}")
-    ratios = split.get("ratios", [0.7, 0.1, 0.2])
+    ratios = split.get("ratios", list(SPLIT_RATIOS))
     numbers = isinstance(ratios, list) and all(type(r) in (int, float) and r >= 0 for r in ratios)
     if not (numbers and len(ratios) == 3 and math.isclose(sum(ratios), 1.0)):
         raise fail(f"split ratios must be three non-negative numbers summing to 1, got {ratios!r}")
@@ -409,14 +418,8 @@ def degrade(
     span, keeping one attribute phrase per branch.
     """
     config = config or ConstructionConfig()
+    parse.check_caption(caption)
     n = len(caption)
-    if len(parse.tokens) != n:
-        raise DatasetError(
-            f"parse has {len(parse.tokens)} tokens for a {n}-token caption"
-        )
-    for i, (tok, ptok) in enumerate(zip(caption.tokens, parse.tokens)):
-        if tok != ptok.form:
-            raise DatasetError(f"parse token {i} is {ptok.form!r}, caption has {tok!r}")
 
     spans = _subtree_spans(parse)
     root = parse.root
@@ -841,12 +844,14 @@ def corpus_stats(samples: list[EditSample]) -> StatRecord:
 
 
 PARTITIONS = ("train", "val", "test")
+# default (train, val, test) shares of the videos
+SPLIT_RATIOS = (0.7, 0.1, 0.2)
 
 
 def partition_videos(
     samples: list[EditSample],
     mapping: dict[str, str] | None = None,
-    ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
+    ratios: tuple[float, float, float] = SPLIT_RATIOS,
     seed: int = 0,
 ) -> dict[str, str]:
     """The partition of each video of the samples, so that no video id
@@ -883,20 +888,6 @@ def partition_videos(
             assign[vid] = part
         start += cnt
     return assign
-
-
-def split_by_video(
-    samples: list[EditSample],
-    mapping: dict[str, str] | None = None,
-    ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
-    seed: int = 0,
-) -> dict[str, list[EditSample]]:
-    """The samples of each partition of partition_videos, in corpus order."""
-    assign = partition_videos(samples, mapping, ratios, seed)
-    out: dict[str, list[EditSample]] = {p: [] for p in PARTITIONS}
-    for s in samples:
-        out[assign[s.video_id]].append(s)
-    return out
 
 
 def assign_ids(samples: list[EditSample]) -> list[EditSample]:

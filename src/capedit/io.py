@@ -22,7 +22,7 @@ from contextlib import ExitStack
 from dataclasses import replace
 from typing import Iterable, TextIO
 
-from capedit.commands import Command, Operation
+from capedit.commands import RESERVED_TOKENS, Command, Operation
 from capedit.construction import (
     PARTITIONS,
     CaptionGroup,
@@ -320,7 +320,8 @@ def write_predictions(fh: TextIO, records: Iterable[tuple[str, str]]) -> None:
 
 
 def read_captions(path: str) -> list[CaptionGroup]:
-    """Caption pools: {"video_id": ..., "lang": ..., "captions": [...]}."""
+    """Caption pools: {"video_id": ..., "lang": ..., "captions": [...]}.
+    A caption may hold no token of the control grammar ([MASK], [o] ...)."""
     groups = []
     seen = set()
     for rec in _records(path):
@@ -331,6 +332,10 @@ def read_captions(path: str) -> list[CaptionGroup]:
         captions = rec.texts("captions", "caption", rec.mode())
         if not captions:
             raise rec.error("empty caption list")
+        for i, cap in enumerate(captions):
+            if not RESERVED_TOKENS.isdisjoint(cap.tokens):
+                tok = next(t for t in cap.tokens if t in RESERVED_TOKENS)
+                raise rec.error(f"caption {i}: token {tok!r} collides with the control grammar")
         groups.append(CaptionGroup(vid, captions))
     return groups
 
@@ -345,14 +350,15 @@ def read_config(path: str) -> tuple[ConstructionConfig, dict | None]:
     return ConstructionConfig.from_dict(data, path), data.get("split")
 
 
-def _read_conllu(path: str) -> dict[str, ParseAnnotation]:
-    """CoNLL-U sentences by sent_id, each checked as a dependency tree.
+def _read_conllu(path: str) -> dict[str, tuple[int, ParseAnnotation]]:
+    """CoNLL-U sentences by sent_id, each with its first line number and
+    checked as a dependency tree.
 
     Columns used: FORM, UPOS, HEAD (1-based, 0 = root), DEPREL.  sent_id
     must be of the form "<video_id>#<caption_index>".  An invalid tree
     and a missing or duplicate sent_id are reported at the sentence's
     first line."""
-    out: dict[str, ParseAnnotation] = {}
+    out: dict[str, tuple[int, ParseAnnotation]] = {}
     sent_id = None
     start = 0
     tokens: list[DepToken] = []
@@ -368,7 +374,7 @@ def _read_conllu(path: str) -> dict[str, ParseAnnotation]:
             if sent_id in out:
                 raise error(start, f"duplicate sent_id {sent_id!r}")
             try:
-                out[sent_id] = ParseAnnotation(_split_caption_id(sent_id)[1], tuple(tokens))
+                out[sent_id] = start, ParseAnnotation(_split_caption_id(sent_id)[1], tuple(tokens))
             except ValueError as exc:
                 raise error(start, f"sentence {sent_id!r}: {exc}") from exc
             tokens = []
@@ -442,16 +448,35 @@ def _check_srl_frame(rec: _Record, frame: SrlFrame, cid: str, n: int) -> None:
             )
 
 
+def _caption(by_id: dict[str, CaptionGroup], key: tuple[str, int] | None) -> TokenSeq | None:
+    """The caption of the pools that key = (video_id, caption_index)
+    names, or None."""
+    group = by_id.get(key[0]) if key else None
+    if group is None or key[1] >= len(group.captions):
+        return None
+    return group.captions[key[1]]
+
+
 def read_parses(
-    conllu_path: str, srl_path: str | None = None
+    conllu_path: str, groups: list[CaptionGroup], srl_path: str | None = None
 ) -> dict[tuple[str, int], ParseAnnotation]:
     """Parse annotations keyed by (video_id, caption_index): each CoNLL-U
     sentence with the SRL frames recorded under its sent_id, whose spans
-    must lie inside the sentence."""
+    must lie inside the sentence.  A sentence whose sent_id names a
+    caption of the pools must hold that caption's tokens, or it is
+    reported at its first line; one that names no caption is not
+    checked against the pools, and construction never reads it."""
+    by_id = {g.video_id: g for g in groups}
     sentences = _read_conllu(conllu_path)
     srl = _read_srl(srl_path) if srl_path else {}
     parses = {}
-    for cid, parse in sentences.items():
+    for cid, (start, parse) in sentences.items():
+        caption = _caption(by_id, _split_caption_id(cid))
+        if caption is not None:
+            try:
+                parse.check_caption(caption)
+            except DatasetError as exc:
+                raise DatasetError(f"{conllu_path}:{start}: sentence {cid!r}: {exc}") from exc
         frames = srl.get(cid)
         if frames:
             for rec, frame in frames:
@@ -461,10 +486,26 @@ def read_parses(
     return parses
 
 
-def read_neighbors(path: str) -> dict[str, list[str]]:
-    """Precomputed video similarity lists:
-    {"video_id": ..., "neighbors": [...]}."""
-    return {rec.string("video_id"): rec.strings("neighbors") for rec in _records(path)}
+def read_neighbors(path: str, groups: list[CaptionGroup]) -> dict[str, list[str]]:
+    """Precomputed video similarity lists, {"video_id": ...,
+    "neighbors": [...]}, one line per video.  The neighbors of a video
+    of the pools must be other videos of the pools; a line for a video
+    outside the pools is not checked, and construction never reads it."""
+    known = {g.video_id for g in groups}
+    out: dict[str, list[str]] = {}
+    for rec in _records(path):
+        vid = rec.string("video_id")
+        neighbors = rec.strings("neighbors")
+        if vid in out:
+            raise rec.error(f"duplicate video id {vid!r}")
+        out[vid] = neighbors
+        if vid in known:
+            for other in neighbors:
+                if other == vid:
+                    raise rec.error(f"video {vid!r} is listed as its own neighbor")
+                if other not in known:
+                    raise rec.error(f"neighbor list names unknown video {other!r}")
+    return out
 
 
 def read_ppl(path: str, groups: list[CaptionGroup]) -> dict[tuple[str, str], float]:
@@ -477,10 +518,10 @@ def read_ppl(path: str, groups: list[CaptionGroup]) -> dict[tuple[str, str], flo
         cid = rec.string("caption_id")
         ppl = rec.number("ppl")
         key = _split_caption_id(cid)
-        group = by_id.get(key[0]) if key else None
-        if group is None or key[1] >= len(group.captions):
+        caption = _caption(by_id, key)
+        if caption is None:
             raise rec.error(f"perplexity entry for unknown caption {cid!r}")
-        out[(group.video_id, detokenize(group.captions[key[1]]))] = ppl
+        out[(key[0], detokenize(caption))] = ppl
     return out
 
 

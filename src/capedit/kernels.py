@@ -1,7 +1,11 @@
 """Sequence kernels: edit distance, LCS and the aligner.
 
-Callers pass token sequences; interning to dense integer ids happens
-here, so the kernels only ever compare ints and can index a list by id.
+Callers pass token sequences, and the kernels compare the tokens
+themselves.  Each bit-parallel DP reads one table, Myers' Peq
+(_match_masks): a dict from token to the bit mask of where the token
+occurs in one sequence, so a token of the other sequence looks its
+mask up with no dense ids.  (metrics._overlap_counts does intern
+tokens to dense ids, because its n-gram keys are arithmetic on them.)
 
 Edit distance and LCS are bit-parallel: one Python int holds a whole
 DP column of the longer sequence as a bit vector, so a pair costs
@@ -20,15 +24,12 @@ which needs every cell of its table.  It keeps every cell as row
 deltas: each row is its last cell plus two bit vectors, the +1 and -1
 steps between neighbouring cells, computed by the same Myers step (a
 token row) or as a running minimum over the set bits (a mask row), so
-the table holds 2 * (n + 1) * m bits.  It takes -1 (_MASK) for mask
-slots.
+the table holds 2 * (n + 1) * m bits.  None marks a mask slot.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-_MASK = -1
+from collections.abc import Hashable, Sequence
 
 # aligner op codes
 OP_MATCH = 0
@@ -43,70 +44,38 @@ def backend() -> str:
     return "python"
 
 
-def _intern(a: Sequence[str], b: Sequence[str]) -> tuple[list[int], list[int]]:
-    ids: dict[str, int] = {}
-    ia = [ids.setdefault(t, len(ids)) for t in a]
-    ib = [ids.setdefault(t, len(ids)) for t in b]
-    return ia, ib
-
-
-def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
-    """Unit-cost edit distance between two token sequences."""
-    ia, ib = _intern(a, b)
-    return _levenshtein(ia, ib)
-
-
-def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of the longest common subsequence of two token sequences."""
-    ia, ib = _intern(a, b)
-    return _lcs(ia, ib)
-
-
-def dsa_ops(ref: Sequence[str | None], hyp: Sequence[str]) -> tuple[int, list[tuple]]:
-    """Run the aligner; None entries in ref are mask slots.
-
-    Returns (cost, ops); see _dsa for the op encoding.
-    """
-    ids: dict[str, int] = {}
-    x = [_MASK if t is None else ids.setdefault(t, len(ids)) for t in ref]
-    y = [ids.setdefault(t, len(ids)) for t in hyp]
-    return _dsa(x, y)
-
-
-def _match_masks(a: list[int], size: int) -> list[int]:
-    """Bit i of masks[t] is set when a[i] == t, for every id t < size.
-
-    _intern numbers tokens densely from 0, so every id of a pair is
-    below the pair's total length.
-    """
-    masks = [0] * size
+def _match_masks(a: Sequence[Hashable]) -> dict:
+    """Myers' Peq table of a: bit i of masks[t] is set when a[i] == t.
+    A token absent from a has no entry; read it as masks.get(t, 0)."""
+    masks: dict = {}
     bit = 1
     for t in a:
-        masks[t] |= bit
+        masks[t] = masks.get(t, 0) | bit
         bit <<= 1
     return masks
 
 
-def _levenshtein(a: list[int], b: list[int]) -> int:
-    """Myers' bit-vector edit distance, in Hyyro's formulation.
+def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
+    """Unit-cost edit distance between two token sequences.
 
-    Column j of the DP over the longer sequence a is held as two bit
-    vectors of vertical deltas, pv (+1) and mv (-1); the score is the
-    bottom cell, which moves with the top bit of the horizontal deltas.
+    Myers' bit-vector algorithm in Hyyro's formulation: column j of the
+    DP over the longer sequence a is held as two bit vectors of
+    vertical deltas, pv (+1) and mv (-1); the score is the bottom cell,
+    which moves with the top bit of the horizontal deltas.
     """
     if len(a) < len(b):
         a, b = b, a
     m = len(a)
     if not b:
         return m
-    peq = _match_masks(a, m + len(b))
+    peq = _match_masks(a)
     mask = (1 << m) - 1
     top = 1 << (m - 1)
     pv = mask
     mv = 0
     score = m
     for t in b:
-        eq = peq[t]
+        eq = peq.get(t, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | (mask ^ (xh | pv))
@@ -121,50 +90,51 @@ def _levenshtein(a: list[int], b: list[int]) -> int:
     return score
 
 
-def _lcs(a: list[int], b: list[int]) -> int:
-    """Allison-Dix / Hyyro bit-vector LCS over the longer sequence a.
+def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+    """Length of the longest common subsequence of two token sequences.
 
-    After each token of b, bit i of v is 0 exactly where the LCS of
-    a[:i + 1] with the prefix of b read so far exceeds that of a[:i],
-    so the zero bits count the LCS.
+    Allison-Dix / Hyyro bit-vector LCS over the longer sequence a: after
+    each token of b, bit i of v is 0 exactly where the LCS of a[:i + 1]
+    with the prefix of b read so far exceeds that of a[:i], so the zero
+    bits count the LCS.
     """
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return 0
-    peq = _match_masks(a, len(a) + len(b))
+    peq = _match_masks(a)
     v = mask = (1 << len(a)) - 1
     for t in b:
-        u = v & peq[t]
+        u = v & peq.get(t, 0)
         v = ((v + u) | (v - u)) & mask
     return len(a) - v.bit_count()
 
 
-def _dsa(x: list[int], y: list[int]) -> tuple[int, list[tuple]]:
-    """Align a mask-bearing reference x against a hypothesis y, both
-    interned densely from 0 as in dsa_ops.
+def dsa_ops(ref: Sequence[str | None], hyp: Sequence[str]) -> tuple[int, list[tuple]]:
+    """Align a mask-bearing reference against a hypothesis; None entries
+    in ref are mask slots.
 
-    Masks (id -1) absorb a contiguous, possibly empty run of hypothesis
-    tokens at zero cost; match costs 0, substitution / deletion /
-    insertion cost 1.  Returns (cost, ops) with ops in forward order:
+    Masks absorb a contiguous, possibly empty run of hypothesis tokens
+    at zero cost; match costs 0, substitution / deletion / insertion
+    cost 1.  Returns (cost, ops) with ops in forward order:
     (OP_MATCH, i, j), (OP_SUB, i, j), (OP_DEL, i), (OP_INS, j),
-    (OP_MASK, i, js, je) meaning the mask at x[i] absorbed y[js:je].
+    (OP_MASK, i, js, je) meaning the mask at ref[i] absorbed hyp[js:je].
 
     Tie-break among minimum-cost alignments, applied greedily from the
     left: longest mask absorption first, then match, substitution,
     deletion, insertion.
 
-    The suffix table S[i][j] (min cost aligning x[i:] with y[j:]) is
+    The suffix table S[i][j] (min cost aligning ref[i:] with hyp[j:]) is
     kept row by row as E[i] = S[i][m] and two bit vectors over the
     reversed hypothesis: bit m-1-j of P[i] is set when
     S[i][j] - S[i][j+1] is +1, of M[i] when it is -1.  Every delta of
     every row is in {-1, 0, +1}, so a token row is one Myers / Hyyro
-    step (see _levenshtein) with a +1 top boundary, and a mask row,
+    step (see edit_distance) with a +1 top boundary, and a mask row,
     the running minimum of the row below it, keeps each -1 step that
     reaches a new low.  A cell is E[i] plus the deltas below its bit.
     """
-    n, m = len(x), len(y)
-    peq = _match_masks(y[::-1], n + m)
+    n, m = len(ref), len(hyp)
+    peq = _match_masks(hyp[::-1])
     mask = (1 << m) - 1
     E = [0] * (n + 1)
     P = [0] * (n + 1)
@@ -172,8 +142,8 @@ def _dsa(x: list[int], y: list[int]) -> tuple[int, list[tuple]]:
     e, pv, mv = 0, mask, 0  # row n: S[n][j] = m - j
     P[n] = pv
     for i in range(n - 1, -1, -1):
-        xi = x[i]
-        if xi == _MASK:
+        xi = ref[i]
+        if xi is None:
             level = low = 0
             steps = pv | mv
             keep = 0
@@ -190,7 +160,7 @@ def _dsa(x: list[int], y: list[int]) -> tuple[int, list[tuple]]:
             pv, mv = 0, keep
         else:
             e += 1
-            eq = peq[xi]
+            eq = peq.get(xi, 0)
             xv = eq | mv
             xh = (((eq & pv) + pv) ^ pv) | eq
             ph = mv | (mask ^ (xh | pv))
@@ -209,7 +179,7 @@ def _dsa(x: list[int], y: list[int]) -> tuple[int, list[tuple]]:
         cur = E[i] + (P[i] & low).bit_count() - (M[i] & low).bit_count()
         if i < n:
             e, pv, mv = E[i + 1], P[i + 1], M[i + 1]
-        if i < n and x[i] == _MASK:
+        if i < n and ref[i] is None:
             for k in range(m - j, -1, -1):
                 part = (1 << (m - j - k)) - 1
                 if e + (pv & part).bit_count() - (mv & part).bit_count() == cur:
@@ -221,7 +191,7 @@ def _dsa(x: list[int], y: list[int]) -> tuple[int, list[tuple]]:
         if i < n and j < m:
             part = low >> 1
             diag = e + (pv & part).bit_count() - (mv & part).bit_count()
-            if x[i] == y[j] and diag == cur:
+            if ref[i] == hyp[j] and diag == cur:
                 ops.append((OP_MATCH, i, j))
                 i += 1
                 j += 1

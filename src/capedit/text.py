@@ -10,7 +10,6 @@ normalized_tokens().
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -115,14 +114,6 @@ def find_phrase(hay: tuple[str, ...], phrase: tuple[str, ...]) -> int:
         if hay[i : i + n] == phrase:
             return i
     return -1
-
-
-def ngrams(seq: TokenSeq, n: int) -> Counter:
-    """Multiset of token n-grams; n is restricted to 1..4."""
-    if not 1 <= n <= 4:
-        raise ValueError(f"n must be in [1, 4], got {n}")
-    toks = seq.tokens
-    return Counter(toks[i : i + n] for i in range(len(toks) - n + 1))
 
 
 def _check_modes(a: TokenSeq, b: TokenSeq) -> None:

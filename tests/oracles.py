@@ -25,7 +25,7 @@ from dataclasses import replace
 from capedit import text as text_mod
 from capedit.commands import MASK_TOKEN, Command, CommandKind, Operation, kind
 from capedit.construction import ConstructionConfig, _content_tokens, _jaccard
-from capedit.kernels import _MASK, OP_DEL, OP_INS, OP_MASK, OP_MATCH, OP_SUB
+from capedit.kernels import OP_DEL, OP_INS, OP_MASK, OP_MATCH, OP_SUB
 from capedit.metrics import (
     EvalConfig,
     MetricReport,
@@ -485,11 +485,11 @@ def evaluate_corpus_two_pass(units, config=None) -> MetricReport:
     return MetricReport(rows, _two_pass_row("overall", "Overall", units, config))
 
 
-def dsa_full_table(x: list[int], y: list[int]) -> tuple[int, list[tuple]]:
-    """kernels._dsa as a full-table DP: align a mask-bearing reference x
+def dsa_full_table(x: list[str | None], y: list[str]) -> tuple[int, list[tuple]]:
+    """kernels.dsa_ops as a full-table DP: align a mask-bearing reference x
     against a hypothesis y.
 
-    Masks (id -1) absorb a contiguous, possibly empty run of hypothesis
+    Masks (None) absorb a contiguous, possibly empty run of hypothesis
     tokens at zero cost; match costs 0, substitution / deletion /
     insertion cost 1.  Returns (cost, ops) with ops in forward order:
     (OP_MATCH, i, j), (OP_SUB, i, j), (OP_DEL, i), (OP_INS, j),
@@ -510,7 +510,7 @@ def dsa_full_table(x: list[int], y: list[int]) -> tuple[int, list[tuple]]:
         xi = x[i]
         row = i * w
         nxt = row + w
-        if xi == _MASK:
+        if xi is None:
             S[row + m] = S[nxt + m]
             for j in range(m - 1, -1, -1):
                 a = S[nxt + j]
@@ -532,7 +532,7 @@ def dsa_full_table(x: list[int], y: list[int]) -> tuple[int, list[tuple]]:
     i = j = 0
     while i < n or j < m:
         cur = S[i * w + j]
-        if i < n and x[i] == _MASK:
+        if i < n and x[i] is None:
             nxt = (i + 1) * w
             for k in range(m - j, -1, -1):
                 if S[nxt + j + k] == cur:

@@ -30,8 +30,9 @@ from capedit.commands import (
 from capedit.construction import (
     ConstructionConfig,
     Provenance,
+    PARTITIONS,
     construct_corpus,
-    split_by_video,
+    partition_videos,
 )
 from capedit.editing import oracle_apply, payload_from_truth
 from capedit.metrics import (
@@ -228,9 +229,9 @@ def test_acceptance_4_metric_identities(capsys):
 def _fixture_corpus(data_dir):
     groups = cio.read_captions(str(data_dir / "captions.jsonl"))
     parses = cio.read_parses(
-        str(data_dir / "parses.conllu"), str(data_dir / "srl.jsonl")
+        str(data_dir / "parses.conllu"), groups, str(data_dir / "srl.jsonl")
     )
-    neighbors = cio.read_neighbors(str(data_dir / "neighbors.jsonl"))
+    neighbors = cio.read_neighbors(str(data_dir / "neighbors.jsonl"), groups)
     with open(data_dir / "config.json", encoding="utf-8") as fh:
         raw = json.load(fh)
     config = ConstructionConfig.from_dict(raw)
@@ -238,7 +239,7 @@ def _fixture_corpus(data_dir):
     return samples, raw["split"]
 
 
-def test_acceptance_5_construction_reconstruction(capsys, data_dir):
+def test_acceptance_5_construction_reconstruction(capsys, data_dir, tmp_path):
     first, split_spec = _fixture_corpus(data_dir)
     second, _ = _fixture_corpus(data_dir)
     stable = [cio.sample_to_wire(s) for s in first] == [
@@ -253,16 +254,19 @@ def test_acceptance_5_construction_reconstruction(capsys, data_dir):
         oracle_apply(s.command, s.reference, s.payload) == s.ground_truth
         for s in with_payload
     )
-    parts = split_by_video(
+    # the split files as construct writes them
+    partition = partition_videos(
         first, ratios=tuple(split_spec["ratios"]), seed=split_spec["seed"]
     )
-    videos = [
-        {s.video_id for s in part_samples} for part_samples in parts.values()
-    ]
+    cio.write_dataset(str(tmp_path / "corpus.jsonl"), first, partition)
+    parts = [cio.read_dataset(str(tmp_path / f"corpus.{p}.jsonl")) for p in PARTITIONS]
+    videos = [{s.video_id for s in part_samples} for part_samples in parts]
     disjoint = all(
         not (a & b) for a, b in itertools.combinations(videos, 2)
     )
-    covered = set.union(*videos) == {s.video_id for s in first}
+    covered = sorted(s.id for part_samples in parts for s in part_samples) == sorted(
+        s.id for s in first
+    )
     _verdict(
         capsys, 5, "construction reconstruction",
         bool(with_payload) and reconstructed == len(with_payload)

@@ -23,7 +23,7 @@ from capedit.construction import (
     degrade,
     filter_and_balance,
     make_attribute_samples,
-    split_by_video,
+    partition_videos,
 )
 from capedit.editing import oracle_apply
 from capedit.errors import CommandError, DatasetError
@@ -807,39 +807,30 @@ def test_corpus_stats():
         corpus_stats([])
 
 
-def test_split_by_video_ratios():
+def test_partition_videos_ratios():
     rng = random.Random(11)
     samples = []
     for i, s in enumerate(make_samples(rng, 10, kinds=(CommandKind.ADD_LEN,))):
         samples.append(replace(s, video_id=f"v{i % 10}"))
-    parts = split_by_video(samples, ratios=(0.7, 0.1, 0.2), seed=4)
-    assert set(parts) == {"train", "val", "test"}
-    vids = {p: {s.video_id for s in parts[p]} for p in parts}
-    assert len(vids["train"]) == 7
-    assert len(vids["val"]) == 1
-    assert len(vids["test"]) == 2
-    assert not (vids["train"] & vids["val"]) and not (vids["train"] & vids["test"])
-    assert sum(len(v) for v in parts.values()) == len(samples)
-
-    again = split_by_video(samples, ratios=(0.7, 0.1, 0.2), seed=4)
-    assert {p: [s.id for s in again[p]] for p in again} == {
-        p: [s.id for s in parts[p]] for p in parts
-    }
+    assign = partition_videos(samples, ratios=(0.7, 0.1, 0.2), seed=4)
+    assert set(assign) == {s.video_id for s in samples}
+    parts = sorted(assign.values())
+    assert (parts.count("train"), parts.count("val"), parts.count("test")) == (7, 1, 2)
+    # the same seed gives the same split, and these ratios are the default
+    assert partition_videos(samples, seed=4) == assign
 
 
-def test_split_by_video_mapping_and_validation():
+def test_partition_videos_mapping_and_validation():
     rng = random.Random(13)
     samples = make_samples(rng, 2, kinds=(CommandKind.ADD_LEN,))
     mapping = {s.video_id: "test" for s in samples}
-    parts = split_by_video(samples, mapping=mapping)
-    assert [s.id for s in parts["test"]] == [s.id for s in samples]
-    assert parts["train"] == []
+    assert partition_videos(samples, mapping=mapping) == mapping
     with pytest.raises(DatasetError):
-        split_by_video(samples, mapping={})
+        partition_videos(samples, mapping={})
     with pytest.raises(DatasetError):
-        split_by_video(samples, mapping={s.video_id: "dev" for s in samples})
+        partition_videos(samples, mapping={s.video_id: "dev" for s in samples})
     with pytest.raises(ValueError):
-        split_by_video(samples, ratios=(0.5, 0.5, 0.5))
+        partition_videos(samples, ratios=(0.5, 0.5, 0.5))
 
 
 def test_assign_ids():

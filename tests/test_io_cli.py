@@ -3,6 +3,7 @@ import random
 import shutil
 import subprocess
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -221,7 +222,8 @@ def test_read_captions_validation(tmp_path):
 
 
 def test_read_conllu_fixture(data_dir):
-    parsed = cio.read_parses(str(data_dir / "parses.conllu"))
+    groups = cio.read_captions(str(data_dir / "captions.jsonl"))
+    parsed = cio.read_parses(str(data_dir / "parses.conllu"), groups)
     assert set(parsed) == {("vid1", 0)}
     assert parsed[("vid1", 0)].caption_index == 0
     tokens = parsed[("vid1", 0)].tokens
@@ -241,23 +243,23 @@ def test_read_conllu_skips_multiword_rows(tmp_path):
         "2-3\tdogfood\t_\t_\t_\t_\t_\t_\t_\t_\n"
         "2\tdog\t_\tNOUN\t_\t_\t0\troot\t_\t_\n"
     )
-    parsed = cio.read_parses(_write(tmp_path / "m.conllu", text))
+    parsed = cio.read_parses(_write(tmp_path / "m.conllu", text), [])
     assert [t.form for t in parsed[("v", 0)].tokens] == ["a", "dog"]
 
 
 def test_read_conllu_errors(tmp_path):
     with pytest.raises(DatasetError) as err:
-        cio.read_parses(_write(tmp_path / "a.conllu", "1\ta\tDET\n"))
+        cio.read_parses(_write(tmp_path / "a.conllu", "1\ta\tDET\n"), [])
     assert "10 tab-separated columns" in str(err.value)
 
     no_id = "1\ta\t_\tDET\t_\t_\t0\troot\t_\t_\n"
     with pytest.raises(DatasetError) as err:
-        cio.read_parses(_write(tmp_path / "b.conllu", no_id))
+        cio.read_parses(_write(tmp_path / "b.conllu", no_id), [])
     assert "sent_id" in str(err.value)
 
     bad_head = "# sent_id = v#0\n1\ta\t_\tDET\t_\t_\tx\troot\t_\t_\n"
     with pytest.raises(DatasetError):
-        cio.read_parses(_write(tmp_path / "c.conllu", bad_head))
+        cio.read_parses(_write(tmp_path / "c.conllu", bad_head), [])
 
 
 @pytest.mark.parametrize("field", ["predicate", "start", "end"])
@@ -268,22 +270,22 @@ def test_read_parses_rejects_bool_srl_integers(tmp_path, data_dir, field):
     target[field] = True
     srl = _write(tmp_path / "srl.jsonl", json.dumps(frame) + "\n")
     with pytest.raises(DatasetError, match=f"srl.jsonl:1: {field} must be an integer, got True"):
-        cio.read_parses(str(data_dir / "parses.conllu"), srl)
+        cio.read_parses(str(data_dir / "parses.conllu"), [], srl)
 
 
 def test_read_srl_neighbors_ppl(data_dir):
     conllu = str(data_dir / "parses.conllu")
-    parses = cio.read_parses(conllu, str(data_dir / "srl.jsonl"))
+    groups = cio.read_captions(str(data_dir / "captions.jsonl"))
+    parses = cio.read_parses(conllu, groups, str(data_dir / "srl.jsonl"))
     assert list(parses) == [("vid1", 0)]
     frames = parses[("vid1", 0)].frames
     assert len(frames) == 1
     assert frames[0].predicate == 8
     assert ("ARG0", 0, 4) in frames[0].arguments
-    assert parses[("vid1", 0)].tokens == cio.read_parses(conllu)[("vid1", 0)].tokens
-    assert cio.read_parses(conllu)[("vid1", 0)].frames == ()
-    neighbors = cio.read_neighbors(str(data_dir / "neighbors.jsonl"))
+    assert parses[("vid1", 0)].tokens == cio.read_parses(conllu, groups)[("vid1", 0)].tokens
+    assert cio.read_parses(conllu, groups)[("vid1", 0)].frames == ()
+    neighbors = cio.read_neighbors(str(data_dir / "neighbors.jsonl"), groups)
     assert neighbors == {"vid2": ["vid1"], "vid1": []}
-    groups = cio.read_captions(str(data_dir / "captions.jsonl"))
     ppl = cio.read_ppl(str(data_dir / "ppl.jsonl"), groups)
     vid1 = next(g for g in groups if g.video_id == "vid1")
     assert ppl == {("vid1", detokenize(vid1.captions[0])): 42.0}
@@ -573,6 +575,16 @@ _SRL_OK = '{"caption_id": "vid1#0", "predicate": 8, "arguments": []}\n'
 _ROOT_ROW = "1\ta\t_\tDET\t_\t_\t0\troot\t_\t_\n"
 
 
+def _sentence(sent_id, caption):
+    """A CoNLL-U sentence over the words of caption, each headed by the last."""
+    n = len(caption.split())
+    rows = "".join(
+        f"{i}\t{w}\t_\tX\t_\t_\t{0 if i == n else n}\t{'root' if i == n else 'dep'}\t_\t_\n"
+        for i, w in enumerate(caption.split(), start=1)
+    )
+    return f"# sent_id = {sent_id}\n{rows}"
+
+
 @pytest.mark.parametrize(
     "name, text, where, needle",
     [
@@ -641,6 +653,26 @@ _ROOT_ROW = "1\ta\t_\tDET\t_\t_\t0\troot\t_\t_\n"
          "{path}:5: sentence 'vid1#2'", "exactly one root"),
         ("parses.conllu", "# sent_id = vid1#0\n" + _ROOT_ROW + "\n# sent_id = vid1#0\n" + _ROOT_ROW,
          "{path}:4:", "duplicate sent_id 'vid1#0'"),
+        ("parses.conllu", _sentence("vid1#0", "A group of girls is on the field playing a game .")
+         + "\n" + _sentence("vid1#1", "A group of boys is playing a game ."),
+         "{path}:15: sentence 'vid1#1'", "parse token 3 is 'boys', caption has 'girls'"),
+        ("parses.conllu", _sentence("vid2#1", "the dog chases a ball"),
+         "{path}:1: sentence 'vid2#1'", "parse has 5 tokens for a 6-token caption"),
+        ("neighbors.jsonl", '{"video_id": "vid2", "neighbors": ["vid1"]}\n'
+         '{"video_id": "vid1", "neighbors": ["vid3"]}',
+         "{path}:2:", "neighbor list names unknown video 'vid3'"),
+        ("captions.jsonl", '{"video_id": "vid1", "lang": "en-word", "captions": '
+         '["A group of girls is on the field playing a game .", "girls play [o] ."]}',
+         "{path}:1:", "caption 1: token '[o]' collides with the control grammar"),
+        ("captions.jsonl", '{"video_id": "vid1", "lang": "en-word", "captions": '
+         '["A group of girls is on the field playing a game .", '
+         '"A group of girls [ADD] is playing a game ."]}',
+         "{path}:1:", "caption 1: token '[ADD]' collides with the control grammar"),
+        ("neighbors.jsonl", '{"video_id": "vid2", "neighbors": ["vid1"]}\n'
+         '{"video_id": "vid2", "neighbors": []}',
+         "{path}:2:", "duplicate video id 'vid2'"),
+        ("neighbors.jsonl", '{"video_id": "vid1", "neighbors": ["vid1"]}',
+         "{path}:1:", "video 'vid1' is listed as its own neighbor"),
     ],
     ids=[
         "srl-predicate-string", "srl-predicate-float", "srl-argument-without-label",
@@ -653,7 +685,9 @@ _ROOT_ROW = "1\ta\t_\tDET\t_\t_\t0\troot\t_\t_\n"
         "captions-string", "captions-not-strings", "captions-video-id-number",
         "neighbors-video-id-null", "ppl-caption-id-number", "srl-caption-id-list",
         "srl-label-number", "conllu-cycle", "conllu-second-sentence-two-roots",
-        "conllu-duplicate-sent-id",
+        "conllu-duplicate-sent-id", "conllu-token-mismatch", "conllu-token-count",
+        "neighbors-unknown-video", "captions-reserved-token-reference",
+        "captions-reserved-token-truth", "neighbors-duplicate-video", "neighbors-self",
     ],
 )
 def test_cli_malformed_annotation_exits_two(tmp_path, capsys, data_dir, name, text, where, needle):
@@ -674,6 +708,22 @@ def test_cli_malformed_annotation_exits_two(tmp_path, capsys, data_dir, name, te
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert where.format(path=path) in err and needle in err
+
+
+def test_cli_construct_ignores_annotations_of_unknown_captions(tmp_path, data_dir):
+    # a sentence or neighbor line naming no caption of the pools is not
+    # checked against them and changes nothing
+    out = tmp_path / "corpus.jsonl"
+    argv = ["construct", "--captions", str(data_dir / "captions.jsonl"), "--out", str(out)]
+    assert main(argv + ["--neighbors", _write(tmp_path / "none.jsonl", "")]) == 0
+    expected = out.read_bytes()
+    parses = _write(
+        tmp_path / "p.conllu",
+        _sentence("vid9#0", "no such caption") + "\n" + _sentence("vid1#7", "x y"),
+    )
+    neighbors = _write(tmp_path / "n.jsonl", '{"video_id": "vid9", "neighbors": ["vid9", "vid8"]}\n')
+    assert main(argv + ["--parses", parses, "--neighbors", neighbors]) == 0
+    assert out.read_bytes() == expected
 
 
 @pytest.mark.parametrize(
@@ -951,3 +1001,14 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["mask_spans"] == [[1, 2]]
+
+
+def test_public_names_resolve_and_readme_library_snippet_runs(capsys):
+    import capedit
+
+    for name in capedit.__all__:
+        getattr(capedit, name)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(snippet, {})
+    assert capsys.readouterr().out.splitlines()[-1] == "((5, 7),)"

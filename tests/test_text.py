@@ -11,7 +11,6 @@ from capedit.text import (
     detokenize,
     edit_distance,
     lcs_length,
-    ngrams,
     normalized_tokens,
     tokenize,
 )
@@ -105,23 +104,6 @@ def test_tokenize_output_passes_the_public_check(text, mode):
 def test_normalized_tokens():
     assert normalized_tokens(tokenize("A Big DOG", WORD)) == ("a", "big", "dog")
     assert normalized_tokens(tokenize("一 只", CHAR)) == ("一", "只")
-
-
-def test_ngrams_counts():
-    seq = tokenize("a b a b", WORD)
-    bi = ngrams(seq, 2)
-    assert bi[("a", "b")] == 2
-    assert bi[("b", "a")] == 1
-    assert sum(ngrams(seq, 1).values()) == 4
-    assert ngrams(tokenize("a b", WORD), 3) == {}
-
-
-def test_ngrams_order_bounds():
-    seq = tokenize("a b", WORD)
-    with pytest.raises(ValueError):
-        ngrams(seq, 0)
-    with pytest.raises(ValueError):
-        ngrams(seq, 5)
 
 
 def test_edit_distance_known_values():
