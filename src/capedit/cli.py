@@ -20,14 +20,13 @@ from capedit.commands import (
     CommandKind,
     PositionedReference,
     kind,
-    make_positioned_reference,
     parse as parse_control,
     serialize,
 )
 from capedit.construction import SPLIT_RATIOS, construct_corpus, corpus_stats, partition_videos
 from capedit.editing import oracle_apply, payload_from_truth, session_step
 from capedit.errors import CapeditError, DatasetError, OracleError
-from capedit.metrics import EvalConfig, EvalUnit, evaluate_corpus, format_report_table
+from capedit.metrics import EvalUnit, evaluate_corpus, format_report_table
 from capedit.text import LanguageMode, detokenize, join, tokenize
 
 ORACLE_NOTE = (
@@ -46,8 +45,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         units.append(
             EvalUnit(sample, tokenize(predictions[sample.id], sample.mode))
         )
-    config = EvalConfig(delta=args.delta)
-    report = evaluate_corpus(units, config)
+    report = evaluate_corpus(units, delta=args.delta)
     sys.stdout.write(format_report_table(report))
     if args.out:
         payload = report.to_dict()

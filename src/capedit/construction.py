@@ -122,15 +122,20 @@ class ParseAnnotation:
         for i, t in enumerate(self.tokens):
             if t.head != -1 and not 0 <= t.head < n:
                 raise ValueError(f"token {i}: head {t.head} out of range")
-        # cycle check: walking up from any node must reach the root
-        for i in range(n):
-            seen = set()
-            j = i
-            while j != -1:
-                if j in seen:
-                    raise ValueError("dependency arcs contain a cycle")
-                seen.add(j)
-                j = self.tokens[j].head
+        # with one root and every head in range, the arcs are a tree iff
+        # a walk down from the root reaches every token; the rest of a
+        # token set cut off from the root must contain a cycle
+        children: list[list[int]] = [[] for _ in range(n)]
+        for i, t in enumerate(self.tokens):
+            if t.head != -1:
+                children[t.head].append(i)
+        stack = [roots[0]]
+        reached = 0
+        while stack:
+            reached += 1
+            stack.extend(children[stack.pop()])
+        if reached != n:
+            raise ValueError("dependency arcs contain a cycle")
 
     @property
     def root(self) -> int:
@@ -360,6 +365,8 @@ def build_del_length(
             other = by_id.get(vid)
             if other is None:
                 raise DatasetError(f"neighbor list names unknown video {vid!r}")
+            if vid == g.video_id:
+                raise DatasetError(f"video {vid!r} is listed as its own neighbor")
             for ref in other.captions:
                 for gt in g.captions:
                     if len(ref) - len(gt) <= min_diff:

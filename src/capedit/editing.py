@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from capedit.commands import (
     Command,
     CommandKind,
-    Operation,
     kind,
     make_positioned_reference,
 )

@@ -3,8 +3,7 @@
 Edit-aware checks:
 
 * length accuracy: adds must lengthen by at least delta tokens, dels
-  must shorten by at least delta (delta defaults to 1; a target-length
-  mode with relative tolerance is available through EvalConfig);
+  must shorten by at least delta (delta defaults to 1);
 * attribute accuracy: every commanded attribute phrase present (adds)
   or absent (dels) as a contiguous normalized token subsequence;
 * positional accuracy: judged only for add commands with explicit
@@ -16,16 +15,15 @@ BLEU-4 (uniform weights, clipped counts, brevity penalty, no
 smoothing), and ROUGE-L (LCS F-measure with beta = 1.2).  Perplexity
 and EMScore are ingested from sample records, never computed.
 
-evaluate_corpus makes one pass: each unit is scored once into a
-record of sufficient statistics (hits, SARI, ROUGE-L, lengths, BLEU's
-clipped matches and n-gram totals per order, ppl, EMScore), which is
-added to its kind's sums and to the overall sums; every report row is
-built from such sums.  SARI and BLEU share one n-gram count per
-sequence and order, held as sets of int-keyed occurrences whose
-intersections give every statistic.  Integer counts sum exactly
-and the float means use math.fsum, which is correctly rounded, so
-neither shuffling the corpus nor grouping it by kind changes a
-reported number.
+evaluate_corpus makes one pass: each unit is scored once, straight
+into its kind's sufficient statistics (hits, SARI, ROUGE-L, lengths,
+BLEU's clipped matches and n-gram totals per order, ppl, EMScore), and
+the overall row merges the kind sums; every report row is built from
+such sums.  SARI and BLEU share one n-gram count per sequence and
+order, held as sets of int-keyed occurrences whose intersections give
+every statistic.  Integer counts sum exactly and the float means use
+math.fsum, which is correctly rounded, so neither shuffling the corpus
+nor grouping it by kind changes a reported number.
 """
 
 from __future__ import annotations
@@ -61,24 +59,12 @@ class EvalUnit:
             raise ValueError("hypothesis language mode differs from the sample")
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    delta: int = 1
-    # optional target-length rule: |len(hyp) - ratio*len(ref)| <= tol*ratio*len(ref)
-    length_target_ratio: float | None = None
-    length_target_tolerance: float = 0.2
-
-
-def len_acc(unit: EvalUnit, config: EvalConfig | None = None) -> bool:
-    config = config or EvalConfig()
+def len_acc(unit: EvalUnit, delta: int = 1) -> bool:
     ref_len = len(unit.sample.reference)
     hyp_len = len(unit.hypothesis)
-    if config.length_target_ratio is not None:
-        target = config.length_target_ratio * ref_len
-        return abs(hyp_len - target) <= config.length_target_tolerance * target
     if unit.sample.command.op is Operation.ADD:
-        return hyp_len >= ref_len + config.delta
-    return hyp_len <= ref_len - config.delta
+        return hyp_len >= ref_len + delta
+    return hyp_len <= ref_len - delta
 
 
 def attr_acc(unit: EvalUnit) -> bool | None:
@@ -205,14 +191,6 @@ def sari_score(
     return _sari(_overlap_counts(source, hypothesis, truth))
 
 
-def sari(unit: EvalUnit) -> float:
-    return sari_score(
-        normalized_tokens(unit.sample.reference),
-        normalized_tokens(unit.hypothesis),
-        normalized_tokens(unit.sample.ground_truth),
-    )
-
-
 def rouge_l_score(hypothesis: tuple[str, ...], truth: tuple[str, ...]) -> float:
     """ROUGE-L F-measure with beta = 1.2; 0 when either side is empty."""
     if not hypothesis or not truth:
@@ -226,15 +204,14 @@ def rouge_l_score(hypothesis: tuple[str, ...], truth: tuple[str, ...]) -> float:
     return (1 + ROUGE_BETA**2) * precision * recall / denom
 
 
-def rouge_l(unit: EvalUnit) -> float:
-    return rouge_l_score(
-        normalized_tokens(unit.hypothesis), normalized_tokens(unit.sample.ground_truth)
-    )
-
-
 def _bleu(hyp_len: int, ref_len: int, matched, total) -> float:
-    """BLEU-4 from summed lengths and per-order clipped matches and
-    hypothesis n-gram totals."""
+    """Corpus-level BLEU-4, single reference, no smoothing, from summed
+    lengths and per-order clipped matches and hypothesis n-gram totals.
+
+    Orders with no hypothesis n-grams anywhere in the corpus contribute
+    precision 1 (nothing to get wrong); an order with n-grams but zero
+    clipped matches makes the score 0.
+    """
     if hyp_len == 0:
         return 0.0
     log_sum = 0.0
@@ -246,29 +223,6 @@ def _bleu(hyp_len: int, ref_len: int, matched, total) -> float:
         log_sum += math.log(m / t)
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return bp * math.exp(log_sum / 4.0)
-
-
-def bleu4(units: list[EvalUnit]) -> float:
-    """Corpus-level BLEU-4, single reference, no smoothing.
-
-    Orders with no hypothesis n-grams anywhere in the corpus contribute
-    precision 1 (nothing to get wrong); an order with n-grams but zero
-    clipped matches makes the score 0.
-    """
-    if not units:
-        raise ValueError("empty corpus")
-    hyp_len = ref_len = 0
-    matched = [0, 0, 0, 0]
-    total = [0, 0, 0, 0]
-    for unit in units:
-        hyp = normalized_tokens(unit.hypothesis)
-        ref = normalized_tokens(unit.sample.ground_truth)
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for i, o in enumerate(_overlap_counts((), hyp, ref)):
-            matched[i] += o.cg
-            total[i] += o.c
-    return _bleu(hyp_len, ref_len, matched, total)
 
 
 @dataclass(frozen=True)
@@ -314,43 +268,6 @@ def _mean(values: list[float]) -> float | None:
     return math.fsum(values) / len(values)
 
 
-class _UnitScore(NamedTuple):
-    """Everything a report row needs from one unit, computed once."""
-
-    kind: CommandKind
-    len_hit: bool
-    attr_hit: bool | None
-    pos_hit: bool | None
-    sari: float
-    rouge_l: float
-    hyp_len: int
-    ref_len: int
-    matched: tuple[int, ...]  # BLEU clipped matches, orders 1..4
-    total: tuple[int, ...]  # hypothesis n-grams, orders 1..4
-    ppl: float | None
-    emscore: float | None
-
-
-def _score_unit(unit: EvalUnit, config: EvalConfig) -> _UnitScore:
-    hyp = normalized_tokens(unit.hypothesis)
-    truth = normalized_tokens(unit.sample.ground_truth)
-    overlap = _overlap_counts(normalized_tokens(unit.sample.reference), hyp, truth)
-    return _UnitScore(
-        kind=kind(unit.sample.command),
-        len_hit=len_acc(unit, config),
-        attr_hit=attr_acc(unit),
-        pos_hit=pos_acc(unit),
-        sari=_sari(overlap),
-        rouge_l=rouge_l_score(hyp, truth),
-        hyp_len=len(hyp),
-        ref_len=len(truth),
-        matched=tuple(o.cg for o in overlap),
-        total=tuple(o.c for o in overlap),
-        ppl=unit.sample.ppl,
-        emscore=unit.sample.emscore,
-    )
-
-
 class _RowSums:
     """Sums of unit scores for one report row.  Counts are ints; SARI,
     ROUGE-L, ppl and EMScore values are kept for math.fsum."""
@@ -367,26 +284,50 @@ class _RowSums:
         self.ppl: list[float] = []
         self.emscore: list[float] = []
 
-    def add(self, score: _UnitScore) -> None:
+    def add(self, unit: EvalUnit, delta: int) -> None:
+        """Score one unit into these sums."""
+        hyp = normalized_tokens(unit.hypothesis)
+        truth = normalized_tokens(unit.sample.ground_truth)
+        overlap = _overlap_counts(normalized_tokens(unit.sample.reference), hyp, truth)
         self.count += 1
-        self.len_hits += score.len_hit
-        if score.attr_hit is not None:
-            self.attr_hits += score.attr_hit
+        self.len_hits += len_acc(unit, delta)
+        attr_hit = attr_acc(unit)
+        if attr_hit is not None:
+            self.attr_hits += attr_hit
             self.attr_judged += 1
-        if score.pos_hit is not None:
-            self.pos_hits += score.pos_hit
+        pos_hit = pos_acc(unit)
+        if pos_hit is not None:
+            self.pos_hits += pos_hit
             self.pos_judged += 1
-        self.sari.append(score.sari)
-        self.rouge_l.append(score.rouge_l)
-        self.hyp_len += score.hyp_len
-        self.ref_len += score.ref_len
+        self.sari.append(_sari(overlap))
+        self.rouge_l.append(rouge_l_score(hyp, truth))
+        self.hyp_len += len(hyp)
+        self.ref_len += len(truth)
+        for i, o in enumerate(overlap):
+            self.matched[i] += o.cg
+            self.total[i] += o.c
+        if unit.sample.ppl is not None:
+            self.ppl.append(unit.sample.ppl)
+        if unit.sample.emscore is not None:
+            self.emscore.append(unit.sample.emscore)
+
+    def merge(self, other: _RowSums) -> None:
+        """Add another row's sums to these."""
+        self.count += other.count
+        self.len_hits += other.len_hits
+        self.attr_hits += other.attr_hits
+        self.attr_judged += other.attr_judged
+        self.pos_hits += other.pos_hits
+        self.pos_judged += other.pos_judged
+        self.hyp_len += other.hyp_len
+        self.ref_len += other.ref_len
         for i in range(4):
-            self.matched[i] += score.matched[i]
-            self.total[i] += score.total[i]
-        if score.ppl is not None:
-            self.ppl.append(score.ppl)
-        if score.emscore is not None:
-            self.emscore.append(score.emscore)
+            self.matched[i] += other.matched[i]
+            self.total[i] += other.total[i]
+        self.sari += other.sari
+        self.rouge_l += other.rouge_l
+        self.ppl += other.ppl
+        self.emscore += other.emscore
 
     def row(self, kind_name: str, label: str) -> MetricRow:
         return MetricRow(
@@ -404,30 +345,30 @@ class _RowSums:
         )
 
 
-def evaluate_corpus(units: list[EvalUnit], config: EvalConfig | None = None) -> MetricReport:
+def evaluate_corpus(units: list[EvalUnit], delta: int = 1) -> MetricReport:
     """Per-kind rows (in fixed kind order, present kinds only) plus an
-    overall row with micro-averaged accuracies.
+    overall row with micro-averaged accuracies and corpus-level BLEU-4.
 
-    One pass scores each unit once and adds the record to its kind's
-    sums and to the overall sums.  Hits and BLEU's lengths and n-gram
-    counts are integers, and SARI, ROUGE-L, perplexity and EMScore means
-    use math.fsum, which is correctly rounded, so a row's numbers do not
-    depend on the order or the grouping of its units.
+    One pass scores each unit once into its kind's sums, and the
+    overall sums merge the kind sums.  Hits and BLEU's lengths and
+    n-gram counts are integers, and SARI, ROUGE-L, perplexity and
+    EMScore means use math.fsum, which is correctly rounded, so a row's
+    numbers do not depend on the order or the grouping of its units.
     """
     if not units:
         raise ValueError("empty corpus")
     modes = {u.sample.mode for u in units}
     if len(modes) != 1:
         raise ValueError("mixed language modes in one evaluation corpus")
-    config = config or EvalConfig()
     by_kind: dict[CommandKind, _RowSums] = {}
-    overall = _RowSums()
     for unit in units:
-        score = _score_unit(unit, config)
-        if score.kind not in by_kind:
-            by_kind[score.kind] = _RowSums()
-        by_kind[score.kind].add(score)
-        overall.add(score)
+        k = kind(unit.sample.command)
+        if k not in by_kind:
+            by_kind[k] = _RowSums()
+        by_kind[k].add(unit, delta)
+    overall = _RowSums()
+    for sums in by_kind.values():
+        overall.merge(sums)
     rows = tuple(
         by_kind[k].row(k.value, k.label) for k in CommandKind if k in by_kind
     )

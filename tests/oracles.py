@@ -27,14 +27,13 @@ from capedit.commands import MASK_TOKEN, Command, CommandKind, Operation, kind
 from capedit.construction import ConstructionConfig, _content_tokens, _jaccard
 from capedit.kernels import OP_DEL, OP_INS, OP_MASK, OP_MATCH, OP_SUB
 from capedit.metrics import (
-    EvalConfig,
     MetricReport,
     MetricRow,
     _Overlap,
     attr_acc,
     len_acc,
     pos_acc,
-    rouge_l,
+    rouge_l_score,
 )
 
 
@@ -440,9 +439,9 @@ def _mean(values):
     return math.fsum(values) / len(values)
 
 
-def _two_pass_row(kind_name: str, label: str, units, config) -> MetricRow:
+def _two_pass_row(kind_name: str, label: str, units, delta) -> MetricRow:
     n = len(units)
-    len_hits = sum(1 for u in units if len_acc(u, config))
+    len_hits = sum(1 for u in units if len_acc(u, delta))
     attr_values = [v for u in units if (v := attr_acc(u)) is not None]
     pos_values = [v for u in units if (v := pos_acc(u)) is not None]
     return MetricRow(
@@ -461,7 +460,13 @@ def _two_pass_row(kind_name: str, label: str, units, config) -> MetricRow:
             for u in units
         ) / n,
         bleu4=bleu4_counter(units),
-        rouge_l=math.fsum(rouge_l(u) for u in units) / n,
+        rouge_l=math.fsum(
+            rouge_l_score(
+                text_mod.normalized_tokens(u.hypothesis),
+                text_mod.normalized_tokens(u.sample.ground_truth),
+            )
+            for u in units
+        ) / n,
         mean_ppl=_mean([u.sample.ppl for u in units if u.sample.ppl is not None]),
         mean_emscore=_mean(
             [u.sample.emscore for u in units if u.sample.emscore is not None]
@@ -469,20 +474,19 @@ def _two_pass_row(kind_name: str, label: str, units, config) -> MetricRow:
     )
 
 
-def evaluate_corpus_two_pass(units, config=None) -> MetricReport:
+def evaluate_corpus_two_pass(units, delta=1) -> MetricReport:
     """metrics.evaluate_corpus as it was before the one-pass engine:
     each per-kind row and the overall row rescore their units, with
     Counter-based SARI and BLEU."""
-    config = config or EvalConfig()
     by_kind = {}
     for u in units:
         by_kind.setdefault(kind(u.sample.command), []).append(u)
     rows = tuple(
-        _two_pass_row(k.value, KIND_LABELS[k], by_kind[k], config)
+        _two_pass_row(k.value, KIND_LABELS[k], by_kind[k], delta)
         for k in CommandKind
         if k in by_kind
     )
-    return MetricReport(rows, _two_pass_row("overall", "Overall", units, config))
+    return MetricReport(rows, _two_pass_row("overall", "Overall", units, delta))
 
 
 def dsa_full_table(x: list[str | None], y: list[str]) -> tuple[int, list[tuple]]:

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -127,6 +128,22 @@ def test_parse_annotation_validation():
     assert GIRLS_PARSE.root == 8
 
 
+def test_parse_annotation_of_a_long_chain_is_linear():
+    # each token heads the next: the deepest tree a parse can be
+    n = 10_000
+    chain = tuple(
+        DepToken(f"w{i}", "NOUN", i - 1 if i else -1, "dep" if i else "root")
+        for i in range(n)
+    )
+    start = time.perf_counter()
+    parse = ParseAnnotation(0, chain)
+    assert time.perf_counter() - start < 0.5
+    assert parse.root == 0
+    with pytest.raises(ValueError, match="cycle"):
+        # token 1 hangs from the last token: 1 -> n-1 -> ... -> 2 -> 1
+        ParseAnnotation(0, chain[:1] + (DepToken("w1", "NOUN", n - 1, "dep"),) + chain[2:])
+
+
 def test_caption_group_validation():
     with pytest.raises(ValueError):
         CaptionGroup("v", ())
@@ -192,6 +209,8 @@ def test_build_del_length_with_explicit_neighbors():
     assert all(s.ground_truth == gc.captions[1] for s in samples)
     with pytest.raises(DatasetError):
         build_del_length([ga], min_diff=2, neighbors={"vidA": ["missing"]})
+    with pytest.raises(DatasetError, match="'vidA' is listed as its own neighbor"):
+        build_del_length([ga, gb], min_diff=2, neighbors={"vidA": ["vidB", "vidA"]})
 
 
 def _random_pools(rng: random.Random) -> list[CaptionGroup]:

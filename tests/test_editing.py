@@ -12,7 +12,7 @@ from capedit.editing import (
     session_step,
 )
 from capedit.errors import CommandError, OracleError
-from capedit.metrics import EvalConfig, EvalUnit, attr_acc, len_acc, pos_acc
+from capedit.metrics import EvalUnit, attr_acc, len_acc, pos_acc
 from capedit.text import LanguageMode, TokenSeq, detokenize, tokenize
 
 from helpers import make_sample
@@ -142,12 +142,11 @@ def test_char_mode_editing():
 
 def test_oracle_satisfies_its_own_commands():
     rng = random.Random(101)
-    config = EvalConfig()
     for k in CommandKind:
         for _ in range(25):
             sample = make_sample(rng, k, "v0")
             unit = EvalUnit(sample, sample.ground_truth)
-            assert len_acc(unit, config), (k, sample)
+            assert len_acc(unit), (k, sample)
             assert attr_acc(unit) in (True, None), (k, sample)
             assert pos_acc(unit) in (True, None), (k, sample)
 

@@ -332,6 +332,24 @@ def test_cli_evaluate_overall_only_by_default(tmp_path, capsys):
     assert set(report) == {"overall"}
 
 
+def test_cli_evaluate_matches_golden_report(tmp_path, capsys, data_dir):
+    # the golden files hold what `evaluate --per-kind --out` wrote for
+    # this corpus when they were committed; they are never regenerated,
+    # so any change to a reported number or to its formatting fails here
+    out = tmp_path / "report.json"
+    code = main([
+        "evaluate",
+        "--dataset", str(data_dir / "golden_eval_dataset.jsonl"),
+        "--predictions", str(data_dir / "golden_eval_predictions.jsonl"),
+        "--delta", "2", "--per-kind", "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (data_dir / "golden_eval_report.txt").read_bytes()
+    assert out.read_bytes() == (data_dir / "golden_eval_report.json").read_bytes()
+
+
 def test_cli_evaluate_missing_prediction(tmp_path, capsys):
     ds, preds = _evaluate_flow(tmp_path)
     lines = preds.read_text().splitlines()[1:]
@@ -1012,3 +1030,32 @@ def test_public_names_resolve_and_readme_library_snippet_runs(capsys):
     snippet = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     exec(snippet, {})
     assert capsys.readouterr().out.splitlines()[-1] == "((5, 7),)"
+
+
+def test_no_unused_imports_in_the_package():
+    # no linter is part of the toolchain, so a deletion that leaves an
+    # import behind would go unnoticed; __init__ imports to re-export
+    import ast
+
+    import capedit
+
+    unused = []
+    for path in sorted(Path(capedit.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [
+            f"{path.name}:{line}: {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert unused == []
