@@ -36,16 +36,20 @@ ORACLE_NOTE = (
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    samples = cio.read_dataset(args.dataset)
+    # The predictions are read first; the dataset is then streamed, each
+    # record scored as it is read, so no list of samples is kept.
     predictions = cio.read_predictions(args.predictions)
-    units = []
-    for sample in samples:
-        if sample.id not in predictions:
-            raise DatasetError(f"no prediction for sample id {sample.id!r}")
-        units.append(
-            EvalUnit(sample, tokenize(predictions[sample.id], sample.mode))
-        )
-    report = evaluate_corpus(units, delta=args.delta)
+
+    def units():
+        for lineno, sample in cio.iter_dataset(args.dataset):
+            hypothesis = predictions.get(sample.id)
+            if hypothesis is None:
+                raise DatasetError(
+                    f"{args.dataset}:{lineno}: no prediction for sample id {sample.id!r}"
+                )
+            yield EvalUnit(sample, tokenize(hypothesis, sample.mode))
+
+    report = evaluate_corpus(units(), delta=args.delta)
     sys.stdout.write(format_report_table(report))
     if args.out:
         payload = report.to_dict()
@@ -205,6 +209,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _margin(text: str) -> int:
+    """An argparse type for --delta: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"margin must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capedit",
@@ -216,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score predictions against a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--predictions", required=True)
-    p.add_argument("--delta", type=int, default=1, help="length-accuracy margin")
+    p.add_argument("--delta", type=_margin, default=1, help="length-accuracy margin")
     p.add_argument("--per-kind", action="store_true", help="include per-kind rows in --out")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=_cmd_evaluate)
@@ -253,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="apply the rule-based editor to every record. " + ORACLE_NOTE,
     )
     p.add_argument("--dataset", required=True)
-    p.add_argument("--delta", type=int, default=1)
+    p.add_argument("--delta", type=_margin, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle_edit)
 
@@ -262,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a multi-round editing session from a script. " + ORACLE_NOTE,
     )
     p.add_argument("--script", required=True)
-    p.add_argument("--delta", type=int, default=1)
+    p.add_argument("--delta", type=_margin, default=1)
     p.set_defaults(func=_cmd_session)
 
     p = sub.add_parser("stats", help="corpus statistics for a dataset file")

@@ -13,6 +13,11 @@ attributes and payload spans are plain strings tokenized by the
 record's language mode.  Optional fields are omitted when absent, and
 emitted files re-read losslessly (write -> read -> write is
 byte-stable).  Errors name the file and line.
+
+The JSONL readers parse one line at a time.  iter_dataset hands each
+sample on as soon as its line is read, so a caller that does not keep
+the samples (the CLI's evaluate) holds one record at a time; the
+other readers return all they read.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import json
 from contextlib import ExitStack
 from dataclasses import replace
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from capedit.commands import RESERVED_TOKENS, Command, Operation
 from capedit.construction import (
@@ -261,16 +266,22 @@ def sample_to_wire(sample: EditSample) -> dict:
     return out
 
 
-def read_dataset(path: str) -> list[EditSample]:
-    samples = []
+def iter_dataset(path: str) -> Iterator[tuple[int, EditSample]]:
+    """(line number, sample) of each dataset record, one at a time as it
+    is read; a record that repeats an earlier id is reported at its
+    line.  Only the set of ids seen so far is kept."""
     seen = set()
     for rec in _records(path):
         sample = sample_from_wire(rec.data, path, rec.lineno)
         if sample.id in seen:
             raise rec.error(f"duplicate sample id {sample.id!r}")
         seen.add(sample.id)
-        samples.append(sample)
-    return samples
+        yield rec.lineno, sample
+
+
+def read_dataset(path: str) -> list[EditSample]:
+    """Every sample of a dataset file; see iter_dataset."""
+    return [sample for _, sample in iter_dataset(path)]
 
 
 def _dump(obj: dict) -> str:

@@ -15,15 +15,18 @@ BLEU-4 (uniform weights, clipped counts, brevity penalty, no
 smoothing), and ROUGE-L (LCS F-measure with beta = 1.2).  Perplexity
 and EMScore are ingested from sample records, never computed.
 
-evaluate_corpus makes one pass: each unit is scored once, straight
-into its kind's sufficient statistics (hits, SARI, ROUGE-L, lengths,
-BLEU's clipped matches and n-gram totals per order, ppl, EMScore), and
-the overall row merges the kind sums; every report row is built from
-such sums.  SARI and BLEU share one n-gram count per sequence and
-order, held as sets of int-keyed occurrences whose intersections give
-every statistic.  Integer counts sum exactly and the float means use
-math.fsum, which is correctly rounded, so neither shuffling the corpus
-nor grouping it by kind changes a reported number.
+evaluate_corpus makes one pass over any iterable of units: each unit
+is normalized and scored once, straight into its kind's sufficient
+statistics (hits, SARI, ROUGE-L, lengths, BLEU's clipped matches and
+n-gram totals per order, ppl, EMScore), and the overall row merges the
+kind sums; every report row is built from such sums.  No unit is kept
+after it is scored, so a generator of units is evaluated in memory
+that grows only with the float values kept for math.fsum.  SARI and
+BLEU share one n-gram count per sequence and order, held as sets of
+int-keyed occurrences whose intersections give every statistic.
+Integer counts sum exactly and the float means use math.fsum, which
+is correctly rounded, so neither shuffling the corpus nor grouping it
+by kind changes a reported number.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from capedit import kernels
 from capedit.alignment import dsa_align, mask_span_lengths
@@ -69,10 +72,14 @@ def len_acc(unit: EvalUnit, delta: int = 1) -> bool:
 
 def attr_acc(unit: EvalUnit) -> bool | None:
     """True/False for attribute kinds, None (not applicable) otherwise."""
+    return _attr_hit(unit, normalized_tokens(unit.hypothesis))
+
+
+def _attr_hit(unit: EvalUnit, hay: tuple[str, ...]) -> bool | None:
+    """attr_acc with the hypothesis already normalized as hay."""
     command = unit.sample.command
     if command.attributes is None:
         return None
-    hay = normalized_tokens(unit.hypothesis)
     mode = unit.hypothesis.mode
     phrases = [normalize(p, mode) for p in command.attributes]
     if command.op is Operation.ADD:
@@ -285,13 +292,14 @@ class _RowSums:
         self.emscore: list[float] = []
 
     def add(self, unit: EvalUnit, delta: int) -> None:
-        """Score one unit into these sums."""
+        """Score one unit into these sums, normalizing each of its three
+        sequences once."""
         hyp = normalized_tokens(unit.hypothesis)
         truth = normalized_tokens(unit.sample.ground_truth)
         overlap = _overlap_counts(normalized_tokens(unit.sample.reference), hyp, truth)
         self.count += 1
         self.len_hits += len_acc(unit, delta)
-        attr_hit = attr_acc(unit)
+        attr_hit = _attr_hit(unit, hyp)
         if attr_hit is not None:
             self.attr_hits += attr_hit
             self.attr_judged += 1
@@ -345,27 +353,32 @@ class _RowSums:
         )
 
 
-def evaluate_corpus(units: list[EvalUnit], delta: int = 1) -> MetricReport:
+def evaluate_corpus(units: Iterable[EvalUnit], delta: int = 1) -> MetricReport:
     """Per-kind rows (in fixed kind order, present kinds only) plus an
     overall row with micro-averaged accuracies and corpus-level BLEU-4.
 
-    One pass scores each unit once into its kind's sums, and the
-    overall sums merge the kind sums.  Hits and BLEU's lengths and
-    n-gram counts are integers, and SARI, ROUGE-L, perplexity and
-    EMScore means use math.fsum, which is correctly rounded, so a row's
-    numbers do not depend on the order or the grouping of its units.
+    One pass over units, which may be a generator, scores each unit
+    once into its kind's sums, and the overall sums merge the kind
+    sums.  A unit whose language mode differs from the first unit's
+    raises ValueError when it is reached, and so does a corpus with no
+    unit.  Hits and BLEU's lengths and n-gram counts are integers, and
+    SARI, ROUGE-L, perplexity and EMScore means use math.fsum, which is
+    correctly rounded, so a row's numbers do not depend on the order or
+    the grouping of its units.
     """
-    if not units:
-        raise ValueError("empty corpus")
-    modes = {u.sample.mode for u in units}
-    if len(modes) != 1:
-        raise ValueError("mixed language modes in one evaluation corpus")
     by_kind: dict[CommandKind, _RowSums] = {}
+    mode = None
     for unit in units:
+        if mode is None:
+            mode = unit.sample.mode
+        elif unit.sample.mode is not mode:
+            raise ValueError("mixed language modes in one evaluation corpus")
         k = kind(unit.sample.command)
         if k not in by_kind:
             by_kind[k] = _RowSums()
         by_kind[k].add(unit, delta)
+    if not by_kind:
+        raise ValueError("empty corpus")
     overall = _RowSums()
     for sums in by_kind.values():
         overall.merge(sums)

@@ -10,6 +10,7 @@ normalized_tokens().
 from __future__ import annotations
 
 import enum
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -17,6 +18,15 @@ from capedit import kernels
 
 # characters detached from chunk edges as single-char tokens
 PUNCT_CHARS = frozenset('.,!?;:"()\'')
+
+# A word-mode token: one punctuation character, or a run of
+# non-whitespace that starts and ends with a non-punctuation character,
+# so edge punctuation comes off as single-char tokens while internal
+# hyphens/apostrophes stay attached ("girl's" is one token).  \s is
+# the whitespace of str.split() and str.isspace().  re compiles the
+# pattern on the first call and caches it, so importing costs nothing.
+_PUNCT = "".join(re.escape(c) for c in sorted(PUNCT_CHARS))
+_WORD_TOKEN = rf"[{_PUNCT}]|[^\s{_PUNCT}](?:\S*[^\s{_PUNCT}])?"
 
 
 class LanguageMode(enum.Enum):
@@ -54,35 +64,19 @@ class TokenSeq:
 
 def _trusted_seq(tokens: tuple[str, ...], mode: LanguageMode) -> TokenSeq:
     """A TokenSeq without the token check, for tokens that cannot fail it:
-    the output of str.split() or the characters of that output (split()
-    and the check's isspace() agree on every code point), or a slice of
-    an existing sequence's tokens."""
+    the matches of _WORD_TOKEN, which are non-empty runs of
+    non-whitespace, or the characters of str.split()'s output (str.split(),
+    the regex whitespace class and the check's isspace() agree on every
+    code point), or a slice of an existing sequence's tokens."""
     seq = object.__new__(TokenSeq)
     object.__setattr__(seq, "tokens", tokens)
     object.__setattr__(seq, "mode", mode)
     return seq
 
 
-def _split_punct(chunk: str) -> list[str]:
-    # Leading/trailing punctuation becomes separate single-char tokens;
-    # internal hyphens/apostrophes stay attached ("girl's" is one token).
-    lead: list[str] = []
-    while chunk and chunk[0] in PUNCT_CHARS:
-        lead.append(chunk[0])
-        chunk = chunk[1:]
-    trail: list[str] = []
-    while chunk and chunk[-1] in PUNCT_CHARS:
-        trail.append(chunk[-1])
-        chunk = chunk[:-1]
-    return lead + ([chunk] if chunk else []) + trail[::-1]
-
-
 def tokenize(text: str, mode: LanguageMode) -> TokenSeq:
     if mode is LanguageMode.WORD:
-        toks: list[str] = []
-        for chunk in text.split():
-            toks.extend(_split_punct(chunk))
-        return _trusted_seq(tuple(toks), mode)
+        return _trusted_seq(tuple(re.findall(_WORD_TOKEN, text)), mode)
     return _trusted_seq(tuple("".join(text.split())), mode)
 
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the library's code paths: plain recursion for
-edit distance, subsequence enumeration for LCS, the cell-by-cell
+These deliberately avoid the library's code paths: the word tokenizer
+as a whitespace split with punctuation peeled off each chunk's edges,
+plain recursion for edit distance, subsequence enumeration for LCS, the cell-by-cell
 two-row DPs for both (fast enough for long random inputs),
 exhaustive monotone alignment enumeration (iterative deepening) for
 the aligner, a list-based multiset calculator for SARI, the claim
@@ -35,6 +36,23 @@ from capedit.metrics import (
     pos_acc,
     rouge_l_score,
 )
+
+
+def tokenize_words_split(text: str) -> tuple[str, ...]:
+    """Word-mode tokens: str.split() chunks, each with its leading and
+    trailing text.PUNCT_CHARS detached as single-char tokens."""
+    out: list[str] = []
+    for chunk in text.split():
+        lead: list[str] = []
+        while chunk and chunk[0] in text_mod.PUNCT_CHARS:
+            lead.append(chunk[0])
+            chunk = chunk[1:]
+        trail: list[str] = []
+        while chunk and chunk[-1] in text_mod.PUNCT_CHARS:
+            trail.append(chunk[-1])
+            chunk = chunk[:-1]
+        out.extend(lead + ([chunk] if chunk else []) + trail[::-1])
+    return tuple(out)
 
 
 def edit_distance_recursive(a, b) -> int:

@@ -1,7 +1,9 @@
+import gc
 import json
 import random
 import shutil
 import subprocess
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -83,6 +85,20 @@ def _record(**kw):
     }
     base.update(kw)
     return base
+
+
+def test_iter_dataset_yields_each_sample_with_its_line(tmp_path):
+    samples = make_samples(random.Random(11), 1)[:3]
+    path = tmp_path / "ds.jsonl"
+    lines = [json.dumps(cio.sample_to_wire(s)) for s in samples]
+    _write(path, lines[0] + "\n\n" + lines[1] + "\n" + lines[2] + "\n")
+    assert list(cio.iter_dataset(str(path))) == list(zip((1, 3, 4), samples))
+    assert cio.read_dataset(str(path)) == samples
+    _write(path, lines[0] + "\n" + lines[1] + "\n" + lines[0] + "\n")
+    stream = cio.iter_dataset(str(path))
+    assert [next(stream), next(stream)] == list(zip((1, 2), samples))
+    with pytest.raises(DatasetError, match=f"{path}:3: duplicate sample id 't000000'"):
+        next(stream)
 
 
 def test_dataset_reader_validation(tmp_path):
@@ -356,7 +372,76 @@ def test_cli_evaluate_missing_prediction(tmp_path, capsys):
     preds.write_text("\n".join(lines) + "\n")
     code = main(["evaluate", "--dataset", str(ds), "--predictions", str(preds)])
     assert code == 2
-    assert "no prediction for sample id" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no prediction for sample id" in err
+    # the first record lost its prediction, and is reported at its line
+    assert f"error: {ds}:1: no prediction for sample id 't000000'" in err
+
+
+def test_cli_evaluate_reports_a_bad_predictions_file_first(tmp_path, capsys):
+    ds, preds = _evaluate_flow(tmp_path)
+    _write(ds, "{nope\n")
+    _write(preds, "\n[1]\n")
+    assert main(["evaluate", "--dataset", str(ds), "--predictions", str(preds)]) == 2
+    assert f"error: {preds}:2: expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["evaluate", "oracle-edit", "session"])
+def test_cli_delta_below_one_exits_two(tmp_path, capsys, subcommand):
+    ds, preds = _evaluate_flow(tmp_path)
+    script = _write(tmp_path / "script.jsonl", _SESSION_HEAD + '\n{"command": {"op": "del"}}\n')
+    inputs = {
+        "evaluate": ["--dataset", str(ds), "--predictions", str(preds)],
+        "oracle-edit": ["--dataset", str(ds)],
+        "session": ["--script", script],
+    }[subcommand]
+    assert main([subcommand, *inputs, "--delta", "1"]) == 0
+    capsys.readouterr()
+    for delta in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, *inputs, "--delta", delta])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument --delta: margin must be at least 1, got {delta}" in captured.err
+
+
+def test_cli_evaluate_memory_does_not_grow_with_the_dataset(tmp_path, capsys):
+    """evaluate streams the dataset: between N and 4N units the traced
+    peak grows by less than 1 KB per extra unit.  Only the predictions
+    map, the seen ids and a few floats per unit stay (about 0.6 KB per
+    unit as measured here); holding every sample, as a list of samples
+    or units would, costs over 3 KB each."""
+
+    def argv(per_kind):
+        samples = make_samples(random.Random(per_kind), per_kind)
+        ds, preds = tmp_path / f"ds{per_kind}.jsonl", tmp_path / f"preds{per_kind}.jsonl"
+        cio.write_dataset(str(ds), samples)
+        with open(preds, "w", encoding="utf-8") as fh:
+            cio.write_predictions(fh, ((s.id, detokenize(s.ground_truth)) for s in samples))
+        return len(samples), ["evaluate", "--dataset", str(ds), "--predictions", str(preds)]
+
+    small, large = argv(60), argv(240)
+    assert large[0] == 4 * small[0]
+    peaks = {}
+    # Freed tuples wait in CPython's free lists, which tracemalloc still
+    # counts and a full collection empties.  Two warm-up runs on the
+    # larger input fill them, and with the collector off they stay full,
+    # so the measured runs see only what evaluate keeps.
+    gc.collect()
+    tracemalloc.start()
+    gc.disable()
+    try:
+        for n, args in (large, large, small, large):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(args) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        gc.enable()
+        tracemalloc.stop()
+    per_unit = (peaks[large[0]] - peaks[small[0]]) / (large[0] - small[0])
+    assert per_unit < 1024, f"traced peak grows by {per_unit:.0f} B per unit"
 
 
 @pytest.mark.parametrize("hyp", [None, 7, ["a", "b"]], ids=["null", "number", "list"])

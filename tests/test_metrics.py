@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capedit import kernels
+from capedit import kernels, metrics
 from capedit.commands import Command, CommandKind, Operation, kind
 from capedit.construction import EditSample, Provenance
 from capedit.metrics import (
@@ -257,6 +257,8 @@ def test_evaluate_corpus_is_order_independent():
 def test_evaluate_corpus_input_validation():
     with pytest.raises(ValueError):
         evaluate_corpus([])
+    with pytest.raises(ValueError, match="^empty corpus$"):
+        evaluate_corpus(u for u in ())
     word_unit = make_units(random.Random(67), 1, kinds=(CommandKind.ADD_LEN,))[0]
     char_sample = EditSample(
         id="c0", video_id="v0", mode=CHAR,
@@ -268,6 +270,15 @@ def test_evaluate_corpus_input_validation():
     char_unit = EvalUnit(char_sample, tokenize("一只大狗跑", CHAR))
     with pytest.raises(ValueError):
         evaluate_corpus([word_unit, char_unit])
+
+    def units():
+        yield word_unit
+        yield word_unit
+        yield char_unit
+        raise AssertionError("read past the first unit of another mode")
+
+    with pytest.raises(ValueError, match="^mixed language modes in one evaluation corpus$"):
+        evaluate_corpus(units())
 
 
 def test_unit_mode_mismatch_raises():
@@ -397,6 +408,7 @@ def test_evaluate_corpus_matches_two_pass_oracle(mode, config):
         want = evaluate_corpus_two_pass(units, delta).to_dict()
         assert len(want["per_kind"]) == 7
         assert evaluate_corpus(units, delta).to_dict() == want
+        assert evaluate_corpus(iter(units), delta).to_dict() == want
         shuffled = list(units)
         rng.shuffle(shuffled)
         assert evaluate_corpus(shuffled, delta).to_dict() == want
@@ -416,10 +428,10 @@ def test_unit_sari_matches_independent_calculator(mode):
 
 
 def test_evaluate_corpus_scores_each_unit_once(monkeypatch):
-    calls = {"lcs_length": 0, "dsa_ops": 0}
+    calls = {"lcs_length": 0, "dsa_ops": 0, "normalized_tokens": 0}
 
-    def counted(name):
-        original = getattr(kernels, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -427,12 +439,18 @@ def test_evaluate_corpus_scores_each_unit_once(monkeypatch):
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(kernels, name, counted(name))
+    for name in ("lcs_length", "dsa_ops"):
+        monkeypatch.setattr(kernels, name, counted(kernels, name))
+    monkeypatch.setattr(metrics, "normalized_tokens", counted(metrics, "normalized_tokens"))
     units = make_units(random.Random(73), 5)
     evaluate_corpus(units)
     positional = sum(
         kind(u.sample.command) in (CommandKind.ADD_POS, CommandKind.ADD_POS_ATTR)
         for u in units
     )
-    assert calls == {"lcs_length": len(units), "dsa_ops": positional}
+    # reference, hypothesis and ground truth are normalized once each,
+    # also for the attribute kinds
+    assert calls == {
+        "lcs_length": len(units), "dsa_ops": positional, "normalized_tokens": 3 * len(units),
+    }
+

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -16,7 +17,7 @@ from capedit.text import (
 )
 
 from helpers import ATTR_WORDS, CAPTION_WORDS
-from oracles import edit_distance_recursive, lcs_enumeration
+from oracles import edit_distance_recursive, lcs_enumeration, tokenize_words_split
 
 WORD = LanguageMode.WORD
 CHAR = LanguageMode.CHAR
@@ -84,6 +85,31 @@ def test_str_split_and_isspace_agree():
         ch for ch in map(chr, range(sys.maxunicode + 1)) if not ch.isspace()
     )
     assert non_space.split() == [non_space]
+
+
+def test_regex_whitespace_is_isspace():
+    # the word tokenizer's regex splits on \s, and its tokens skip
+    # TokenSeq's isspace() check on this agreement
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert tuple(re.findall(r"\s", every)) == SPACE_CHARS
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(
+    st.text(
+        alphabet=st.sampled_from(
+            tuple(sorted(PUNCT_CHARS)) * 3
+            + (" ", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+               "\u2028", "\u3000")
+            + ("a", "B", "狗", "-", "é", "\x00", "\u200b", "[", "]", "\\")
+        ),
+        max_size=40,
+    )
+)
+def test_word_tokenize_matches_the_split_oracle(text):
+    # punctuation-heavy text with Unicode whitespace; \u200b and \x00
+    # are not whitespace
+    assert tokenize(text, WORD).tokens == tokenize_words_split(text)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
