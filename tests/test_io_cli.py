@@ -12,7 +12,7 @@ import pytest
 from capedit import io as cio
 from capedit.cli import main
 from capedit.commands import Command, CommandKind, Operation, kind
-from capedit.construction import CaptionGroup, EditSample, Provenance
+from capedit.construction import CaptionGroup, EditSample, Provenance, construct_corpus
 from capedit.editing import oracle_apply
 from capedit.errors import DatasetError
 from capedit.text import LanguageMode, detokenize, tokenize
@@ -672,6 +672,69 @@ def test_cli_construct_end_to_end(tmp_path, capsys, data_dir):
     first_bytes = out.read_bytes()
     assert main(argv) == 0
     assert out.read_bytes() == first_bytes
+
+
+# The golden construct pool: 12 videos from perfbench's construct generator
+# (seed 5) plus four hand-made videos.  hand_a's first caption degrades to
+# the text of its second, whose perplexity it then carries; hand_b holds two
+# equal captions with different perplexities; hand_c's content tokens have
+# a Jaccard score of exactly 0.3 (3 of 10) with hand_a's, the default
+# threshold, as do hand_d's, so hand_a's two neighbours tie; hand_c also
+# shares hand_a's "a dog runs ." under another perplexity.  The config
+# drops perplexities above 65, balances with a max_per_kind cap
+# (min_length_diff 8 makes two balancing recipients tie) and splits by
+# ratios whose remainders tie.  The outputs are what construct wrote when they
+# were committed; they are never regenerated, so any change to a written
+# byte fails here.
+_GOLDEN_CONSTRUCT_SEED = 3
+_GOLDEN_OUTPUTS = (".jsonl", ".train.jsonl", ".val.jsonl", ".test.jsonl", ".jsonl.stats.json")
+
+
+def _golden(data_dir, name):
+    return str(data_dir / f"golden_construct_{name}")
+
+
+def test_cli_construct_matches_golden_outputs(tmp_path, capsys, data_dir):
+    out = tmp_path / "corpus.jsonl"
+    code = main([
+        "construct",
+        "--captions", _golden(data_dir, "captions.jsonl"),
+        "--parses", _golden(data_dir, "parses.conllu"),
+        "--srl", _golden(data_dir, "srl.jsonl"),
+        "--ppl", _golden(data_dir, "ppl.jsonl"),
+        "--config", _golden(data_dir, "config.json"),
+        "--seed", str(_GOLDEN_CONSTRUCT_SEED),
+        "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == captured.err == ""
+    for suffix in _GOLDEN_OUTPUTS:
+        got = (tmp_path / f"corpus{suffix}").read_bytes()
+        assert got == (data_dir / f"golden_construct_corpus{suffix}").read_bytes(), suffix
+
+
+@pytest.mark.parametrize("neighbors", [False, True], ids=["join", "neighbors-file"])
+def test_construct_corpus_matches_golden_records(data_dir, neighbors):
+    groups = cio.read_captions(_golden(data_dir, "captions.jsonl"))
+    config, _ = cio.read_config(_golden(data_dir, "config.json"))
+    parses = cio.read_parses(
+        _golden(data_dir, "parses.conllu"), groups, _golden(data_dir, "srl.jsonl")
+    )
+    samples = construct_corpus(
+        groups, parses, config,
+        seed=_GOLDEN_CONSTRUCT_SEED,
+        neighbors=cio.read_neighbors(_golden(data_dir, "neighbors.jsonl"), groups)
+        if neighbors else None,
+        ppl=cio.read_ppl(_golden(data_dir, "ppl.jsonl"), groups),
+    )
+    expected = (data_dir / (
+        "golden_construct_neighbors_corpus.jsonl" if neighbors
+        else "golden_construct_corpus.jsonl"
+    )).read_text(encoding="utf-8")
+    assert [cio.sample_to_wire(s) for s in samples] == [
+        json.loads(line) for line in expected.splitlines()
+    ]
 
 
 _SRL_OK = '{"caption_id": "vid1#0", "predicate": 8, "arguments": []}\n'
