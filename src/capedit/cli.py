@@ -49,7 +49,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 )
             yield EvalUnit(sample, tokenize(hypothesis, sample.mode))
 
-    report = evaluate_corpus(units(), delta=args.delta)
+    try:
+        report = evaluate_corpus(units(), delta=args.delta)
+    except ValueError:
+        _check_one_mode(args.dataset)
+        raise
     sys.stdout.write(format_report_table(report))
     if args.out:
         payload = report.to_dict()
@@ -59,6 +63,26 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             json.dump(payload, fh, ensure_ascii=False, indent=2)
             fh.write("\n")
     return 0
+
+
+def _check_one_mode(path: str) -> None:
+    """Raise DatasetError if the dataset at path is one that
+    evaluate_corpus rejects as bad input: one without records, reported
+    at path, or one mixing language modes, reported at the first record
+    whose mode differs from the first record's.  evaluate reads the file
+    again for this only after evaluate_corpus has failed, so scoring a
+    good dataset does no extra work per record."""
+    mode = None
+    for lineno, sample in cio.iter_dataset(path):
+        if mode is None:
+            mode = sample.mode
+        elif sample.mode is not mode:
+            raise DatasetError(
+                f"{path}:{lineno}: language mode {sample.mode.value} differs from the "
+                f"first record's {mode.value}"
+            )
+    if mode is None:
+        raise DatasetError(f"{path}: no dataset records")
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -204,6 +228,8 @@ def _cmd_session(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     samples = cio.read_dataset(args.dataset)
+    if not samples:
+        raise DatasetError(f"{args.dataset}: no dataset records")
     stats = corpus_stats(samples)
     sys.stdout.write(json.dumps(stats.to_dict(), ensure_ascii=False, indent=2) + "\n")
     return 0

@@ -87,7 +87,7 @@ def _positions(op: Operation, positions) -> tuple:
     return pos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Command:
     """Edit command triplet; positions/attributes None when unspecified."""
 
@@ -157,22 +157,35 @@ class PositionedReference:
         return tuple(i for i, t in enumerate(self.tokens) if t == MASK_TOKEN)
 
 
-def _check_reference_tokens(ref: TokenSeq) -> None:
-    for tok in ref.tokens:
-        if tok in RESERVED_TOKENS:
-            raise CommandError(f"reference token {tok!r} collides with the control grammar")
+def check_reference(ref: TokenSeq, cmd: Command) -> None:
+    """Raise CommandError unless cmd's positions can be woven into ref:
+    no token of ref belongs to the control grammar, and the last gap or
+    span lies inside it.  make_positioned_reference and EditSample both
+    run this one check; it builds nothing."""
+    tokens = ref.tokens
+    if not RESERVED_TOKENS.isdisjoint(tokens):
+        tok = next(t for t in tokens if t in RESERVED_TOKENS)
+        raise CommandError(f"reference token {tok!r} collides with the control grammar")
+    pos = cmd.positions
+    if pos is None:
+        return
+    L = len(tokens)
+    if cmd.op is Operation.ADD:
+        if pos[-1] > L:
+            raise CommandError(f"gap {pos[-1]} out of range for length {L}")
+    elif pos[-1][1] > L:
+        raise CommandError(f"span {pos[-1]} out of range for length {L}")
 
 
 def make_positioned_reference(ref: TokenSeq, cmd: Command) -> PositionedReference:
-    """Weave [MASK] slots into ref according to the command positions."""
-    _check_reference_tokens(ref)
+    """Weave [MASK] slots into ref according to the command positions,
+    after check_reference."""
+    check_reference(ref, cmd)
     L = len(ref)
     if cmd.positions is None:
         return PositionedReference(ref.tokens, ref.mode, ref, 0)
     if cmd.op is Operation.ADD:
         gaps = set(cmd.positions)
-        if cmd.positions[-1] > L:
-            raise CommandError(f"gap {cmd.positions[-1]} out of range for length {L}")
         out: list[str] = []
         for i in range(L + 1):
             if i in gaps:
@@ -180,8 +193,6 @@ def make_positioned_reference(ref: TokenSeq, cmd: Command) -> PositionedReferenc
             if i < L:
                 out.append(ref.tokens[i])
         return PositionedReference(tuple(out), ref.mode, ref, len(gaps))
-    if cmd.positions[-1][1] > L:
-        raise CommandError(f"span {cmd.positions[-1]} out of range for length {L}")
     out = []
     prev = 0
     for s, e in cmd.positions:

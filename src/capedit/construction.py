@@ -33,8 +33,8 @@ from capedit.commands import (
     Command,
     CommandKind,
     Operation,
+    check_reference,
     kind,
-    make_positioned_reference,
 )
 from capedit.errors import DatasetError
 from capedit.text import (
@@ -151,13 +151,15 @@ class ParseAnnotation:
                 raise DatasetError(f"parse token {i} is {ptok.form!r}, caption has {tok!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EditSample:
     """One editing quadruple plus construction metadata.
 
     payload, when present, records one token span per command position
     (removed content for del, insertable content for add) and exists
-    only for positional degradation/reversal samples.
+    only for positional degradation/reversal samples.  The checks run
+    commands.check_reference on the reference and command, the check
+    that make_positioned_reference runs, without weaving the masks.
     """
 
     id: str
@@ -174,7 +176,7 @@ class EditSample:
     def __post_init__(self) -> None:
         if self.reference.mode is not self.mode or self.ground_truth.mode is not self.mode:
             raise ValueError("sample language mode disagrees with its sequences")
-        make_positioned_reference(self.reference, self.command)
+        check_reference(self.reference, self.command)
         if self.payload is not None:
             if self.command.positions is None:
                 raise ValueError("payload requires a positional command")
@@ -184,23 +186,7 @@ class EditSample:
                 raise ValueError("payload is only recorded for degradation/reversal samples")
 
 
-_SAMPLE_FIELDS = tuple(f.name for f in fields(EditSample))
-
-
-def _with_id_ppl(sample: EditSample, id: str, ppl: float | None) -> EditSample:
-    """A copy of sample with a new id and ppl, without re-running the
-    checks of __post_init__: neither field takes part in them.  Fields are
-    first set one by one in field order, as __init__ sets them, so the copy
-    keeps CPython's key-sharing instance dict."""
-    new = object.__new__(EditSample)
-    for name in _SAMPLE_FIELDS:
-        object.__setattr__(new, name, getattr(sample, name))
-    object.__setattr__(new, "id", id)
-    object.__setattr__(new, "ppl", ppl)
-    return new
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Degradation:
     """One removable-branch cut: attributes are the branch head words,
     removed_spans the cut token ranges of the original caption (touching
@@ -266,7 +252,8 @@ class ConstructionConfig:
 
 _CONFIG_TYPES = {
     "int": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
-    "float": ("a number", lambda v: type(v) in (int, float)),
+    # json reads NaN, Infinity and 1e400 as floats that are not finite
+    "float": ("a number", lambda v: type(v) is int or type(v) is float and math.isfinite(v)),
     "frozenset": (
         "a list of strings",
         lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
@@ -897,12 +884,6 @@ def partition_videos(
     return assign
 
 
-def assign_ids(samples: list[EditSample]) -> list[EditSample]:
-    """Stable unique ids in corpus order.  Each sample is copied once,
-    without re-running its checks: the id takes no part in them."""
-    return [_with_id_ppl(s, f"s{i:06d}", s.ppl) for i, s in enumerate(samples)]
-
-
 def construct_corpus(
     groups: list[CaptionGroup],
     parses: dict[tuple[str, int], ParseAnnotation] | None = None,
@@ -915,11 +896,17 @@ def construct_corpus(
     filter, balance, and assign ids.
 
     parses maps (video_id, caption_index) to annotations; ppl maps
-    (video_id, detokenized caption) to ingested perplexities.
+    (video_id, detokenized caption) to ingested perplexities.  A sample
+    takes the perplexity of its ground truth's text in its own video;
+    one whose text ppl does not hold keeps None.
 
-    Each sample is built and checked once, by the family that creates
-    it, and again only when a balancing move changes its command.
-    Attaching a perplexity and assigning the id copy it without checks.
+    Each sample is one object from the family that builds and checks it
+    to the returned list; a balancing move alone replaces it, by a
+    checked copy under the new command.  The perplexity and the id
+    ("s" and the corpus position, six digits) are set in place, which
+    is sound because neither takes part in the checks and every sample
+    is a distinct object that this call built and that no caller has
+    seen yet.
     """
     config = config or ConstructionConfig()
     parses = parses or {}
@@ -938,11 +925,16 @@ def construct_corpus(
         )
     )
     if ppl:
-        samples = [
-            _with_id_ppl(
-                s, s.id, ppl.get((s.video_id, text_mod.detokenize(s.ground_truth)), s.ppl)
-            )
-            for s in samples
-        ]
+        # each distinct ground truth of a video is detokenized and looked
+        # up once; the key holds the object's id, alive in its samples
+        found: dict[tuple[str, int], float | None] = {}
+        for s in samples:
+            key = (s.video_id, id(s.ground_truth))
+            if key not in found:
+                found[key] = ppl.get((s.video_id, text_mod.detokenize(s.ground_truth)))
+            if found[key] is not None:
+                object.__setattr__(s, "ppl", found[key])
     samples = filter_and_balance(samples, config, seed)
-    return assign_ids(samples)
+    for i, s in enumerate(samples):
+        object.__setattr__(s, "id", f"s{i:06d}")
+    return samples

@@ -23,8 +23,8 @@ other readers return all they read.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import ExitStack
-from dataclasses import replace
 from typing import Iterable, Iterator, TextIO
 
 from capedit.commands import RESERVED_TOKENS, Command, Operation
@@ -83,13 +83,18 @@ class _Record:
         return value
 
     def number(self, key: str) -> float:
-        """A JSON number as a float; float() would also accept true and "42"."""
+        """A JSON number as a finite float; float() would also accept true
+        and "42".  json reads the non-JSON NaN and Infinity, and a literal
+        past the float range such as 1e400 as inf; all are rejected."""
         value = self.require(key)
         if type(value) in (int, float):
             try:
-                return float(value)
+                number = float(value)
             except OverflowError:
                 pass
+            else:
+                if math.isfinite(number):
+                    return number
         raise self.error(f"{key} must be a number, got {value!r}")
 
     def text(self, key: str, mode: LanguageMode) -> TokenSeq:
@@ -284,8 +289,9 @@ def read_dataset(path: str) -> list[EditSample]:
     return [sample for _, sample in iter_dataset(path)]
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False)
+# what json.dumps(obj, ensure_ascii=False) returns, without building an
+# encoder per call
+_dump = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def write_dataset(
@@ -492,7 +498,9 @@ def read_parses(
         if frames:
             for rec, frame in frames:
                 _check_srl_frame(rec, frame, cid, len(parse.tokens))
-            parse = replace(parse, frames=tuple(frame for _, frame in frames))
+            # the tree checks never read the frames, and this parse is new,
+            # so they are set in place instead of checking a copy again
+            object.__setattr__(parse, "frames", tuple(frame for _, frame in frames))
         parses[_split_caption_id(cid)] = parse
     return parses
 

@@ -270,9 +270,17 @@ def _percent(hits: int, total: int) -> float:
 
 
 def _mean(values: list[float]) -> float | None:
+    """The mean by math.fsum; when the sum of finite values passes the
+    float range, fsum raises OverflowError and an exact Fraction sum
+    gives the mean, which is in range."""
     if not values:
         return None
-    return math.fsum(values) / len(values)
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        from fractions import Fraction  # only this rare path needs it
+
+        return float(sum(map(Fraction, values)) / len(values))
 
 
 class _RowSums:

@@ -41,7 +41,7 @@ class LanguageMode(enum.Enum):
         raise ValueError(f"unknown language mode {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenSeq:
     """An immutable token sequence tagged with its language mode."""
 

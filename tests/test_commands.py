@@ -10,7 +10,9 @@ from capedit.commands import (
     MASK_TOKEN,
     Command,
     CommandKind,
+    RESERVED_TOKENS,
     Operation,
+    check_reference,
     kind,
     make_positioned_reference,
     parse,
@@ -142,6 +144,36 @@ def test_reference_must_not_contain_reserved_tokens():
         serialize(Command(Operation.ADD), bad)
     with pytest.raises(CommandError):
         make_positioned_reference(TokenSeq(("[r]",), WORD), Command(Operation.ADD))
+
+
+def test_check_reference_raises_what_make_positioned_reference_raises():
+    rng = random.Random(19)
+    words = CAPTION_WORDS[:6] + tuple(sorted(RESERVED_TOKENS))
+
+    def outcome(check, ref, cmd):
+        try:
+            check(ref, cmd)
+        except CommandError as exc:
+            return str(exc)
+        return None
+
+    seen = set()
+    for _ in range(2000):
+        ref = TokenSeq(tuple(rng.choice(words) for _ in range(rng.randint(0, 6))), WORD)
+        bound = len(ref) + 3
+        op = rng.choice((Operation.ADD, Operation.DEL))
+        if rng.random() < 0.2:
+            positions = None
+        elif op is Operation.ADD:
+            positions = tuple(sorted(rng.sample(range(bound + 1), rng.randint(1, 2))))
+        else:
+            bounds = sorted(rng.sample(range(bound + 1), 4))
+            positions = ((bounds[0], bounds[1]), (bounds[2], bounds[3]))[: rng.randint(1, 2)]
+        cmd = Command(op, positions)
+        expected = outcome(make_positioned_reference, ref, cmd)
+        assert outcome(check_reference, ref, cmd) == expected, (ref, cmd)
+        seen.add(expected.split()[0] if expected else None)
+    assert seen == {None, "reference", "gap", "span"}
 
 
 def test_golden_control_strings(data_dir):

@@ -15,7 +15,6 @@ from capedit.construction import (
     ParseAnnotation,
     Provenance,
     SrlFrame,
-    assign_ids,
     build_add_length,
     build_del_length,
     claim_kinds,
@@ -762,7 +761,7 @@ def test_balancing_computes_each_claim_set_once(monkeypatch):
 
 
 def test_construct_corpus_checks_each_sample_once(monkeypatch):
-    checks = _counting(monkeypatch, "make_positioned_reference")
+    checks = _counting(monkeypatch, "check_reference")
     moves = _counting(monkeypatch, "_reassign")
     built = []
     inner = construction.filter_and_balance
@@ -778,7 +777,7 @@ def test_construct_corpus_checks_each_sample_once(monkeypatch):
     samples = construct_corpus(groups, parses, config, neighbors=neighbors, ppl=ppl)
     assert samples and moves
     # once per family-built sample, plus once per balancing move; the
-    # perplexity and id copies are not checked again
+    # perplexity and the id are set without a check
     assert len(checks) == built[0] + len(moves)
     assert any(s.ppl == 42.0 for s in samples)
 
@@ -852,14 +851,26 @@ def test_partition_videos_mapping_and_validation():
         partition_videos(samples, ratios=(0.5, 0.5, 0.5))
 
 
-def test_assign_ids():
-    rng = random.Random(17)
-    before = make_samples(rng, 3, kinds=(CommandKind.ADD_LEN,))
-    samples = assign_ids(before)
-    assert [s.id for s in samples] == ["s000000", "s000001", "s000002"]
+def test_construct_corpus_assigns_ids_in_place(monkeypatch):
+    balanced = []
+    inner = construction.filter_and_balance
+
+    def recorded(samples, *args):
+        out = inner(samples, *args)
+        balanced.append((out, [replace(s) for s in out]))
+        return out
+
+    monkeypatch.setattr(construction, "filter_and_balance", recorded)
+    groups, parses, neighbors = _construct_fixture()
+    samples = construct_corpus(groups, parses, neighbors=neighbors)
+    (out, before), = balanced
+    assert len(samples) > 2
+    assert {s.id for s in before} == {""}
+    # stable unique ids in corpus order, set on the very samples that
+    # filter_and_balance returned, with every other field unchanged
+    assert [s.id for s in samples] == [f"s{i:06d}" for i in range(len(samples))]
+    assert all(a is b for a, b in zip(samples, out, strict=True))
     assert samples == [replace(s, id=f"s{i:06d}") for i, s in enumerate(before)]
-    # the copy sets its fields in field order, as __init__ does
-    assert list(vars(samples[0])) == list(vars(before[0]))
 
 
 def _construct_fixture():

@@ -6,11 +6,13 @@ a corpus constructed from them, its oracle predictions and control
 strings, a session script), changes one node of one JSON record, one
 column of a CoNLL-U row, one token of a control line or one raw line,
 and runs the subcommand in-process.  Derandomized and bounded, so every
-run checks the same examples."""
+run checks the same examples.  Whole-file mutations, which no one-node
+change can make, are run on every input file of every subcommand."""
 
 import contextlib
 import io
 import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -177,3 +179,81 @@ def test_cli_mutated_input_exits_zero_or_two(inputs, command):
 def test_cli_align_on_any_text_exits_zero_or_two(mode, ref, hyp):
     code, err = _run(["align", "--mode", mode, "--ref", ref, "--hyp", hyp])
     assert code in (0, 2), err
+
+
+def _flip_lang(text: str) -> str:
+    """The last record that has a "lang" field, with the other mode."""
+    records = [json.loads(line) for line in text.splitlines() if line.strip()]
+    for record in reversed(records):
+        if isinstance(record, dict) and "lang" in record:
+            record["lang"] = "zh-char" if record["lang"] == "en-word" else "en-word"
+            break
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+
+
+def _numbers(value, number: float):
+    """value with every float replaced by number; a dataset record also
+    gets that perplexity, so that evaluate averages more than one."""
+    if isinstance(value, list):
+        return [_numbers(v, number) for v in value]
+    if isinstance(value, dict):
+        out = {k: _numbers(v, number) for k, v in value.items()}
+        if "ground_truth" in out:
+            aux = out.get("aux")
+            out["aux"] = {**(aux if isinstance(aux, dict) else {}), "ppl": number}
+        return out
+    return number if type(value) is float else value
+
+
+def _with_numbers(number: float):
+    def mutate(text: str, suffix: str) -> str:
+        if suffix == ".json":
+            return json.dumps(_numbers(json.loads(text), number))
+        return "".join(
+            json.dumps(_numbers(json.loads(line), number), ensure_ascii=False) + "\n"
+            for line in text.splitlines() if line.strip()
+        )
+    return mutate
+
+
+# whole-file mutations: (text, file suffix) -> text, and the suffixes
+# each applies to
+_WHOLE_FILE = {
+    "empty": (lambda text, suffix: "", (".jsonl", ".json", ".conllu", ".tsv")),
+    "blank-lines": (lambda text, suffix: "\n  \n\n", (".jsonl", ".conllu", ".tsv")),
+    "lang-flipped": (lambda text, suffix: _flip_lang(text), (".jsonl",)),
+    "nan": (_with_numbers(math.nan), (".jsonl", ".json")),
+    "1e308": (_with_numbers(1e308), (".jsonl", ".json")),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_WHOLE_FILE))
+@pytest.mark.parametrize("command", sorted(_FILES))
+def test_cli_whole_file_mutation_exits_zero_or_two(inputs, command, mutation, tmp_path):
+    mutate, suffixes = _WHOLE_FILE[mutation]
+    names = [n for n in _FILES[command] if Path(n).suffix in suffixes]
+    for name in names:
+        work = tmp_path / name.replace(".", "-")
+        work.mkdir()
+        for other in _FILES[command]:
+            shutil.copy(inputs / other, work / other)
+        path = work / name
+        path.write_text(mutate(path.read_text(encoding="utf-8"), path.suffix), encoding="utf-8")
+        argv = _ARGV[command](work)
+        if command == "construct":
+            argv += ["--out", str(work / "corpus.jsonl")]
+        code, err = _run(argv)
+        assert code in (0, 2), f"{name}: {err}"
+        assert code == 0 or err.startswith("error: "), f"{name}: {err}"
+        # what a successful run writes is JSON: no NaN or Infinity token
+        written = [work / "report.json"] if command == "evaluate" else []
+        if command == "construct":
+            written = list(work.glob("corpus*.json*"))
+        for out in written if code == 0 else ():
+            text = out.read_text(encoding="utf-8")
+            for doc in text.splitlines() if out.suffix == ".jsonl" else [text]:
+                json.loads(doc, parse_constant=_not_json)
+
+
+def _not_json(token: str):
+    raise AssertionError(f"non-JSON token {token}")

@@ -12,7 +12,13 @@ import pytest
 from capedit import io as cio
 from capedit.cli import main
 from capedit.commands import Command, CommandKind, Operation, kind
-from capedit.construction import CaptionGroup, EditSample, Provenance, construct_corpus
+from capedit.construction import (
+    CaptionGroup,
+    EditSample,
+    ParseAnnotation,
+    Provenance,
+    construct_corpus,
+)
 from capedit.editing import oracle_apply
 from capedit.errors import DatasetError
 from capedit.text import LanguageMode, detokenize, tokenize
@@ -151,6 +157,9 @@ def test_dataset_reader_validation(tmp_path):
         (_record(aux={"ppl": 10**400}), "ppl must be a number, got 1000"),
         (_record(id=None), "id must be a string, got None"),
         (_record(video_id=7), "video_id must be a string, got 7"),
+        (_record(aux={"ppl": float("nan")}), "ppl must be a number, got nan"),
+        (_record(aux={"emscore": float("inf")}), "emscore must be a number, got inf"),
+        (_record(aux={"ppl": -float("inf")}), "ppl must be a number, got -inf"),
     ],
 )
 def test_cli_malformed_dataset_record_exits_two(tmp_path, capsys, bad, needle):
@@ -364,6 +373,49 @@ def test_cli_evaluate_matches_golden_report(tmp_path, capsys, data_dir):
     assert captured.err == ""
     assert captured.out.encode("utf-8") == (data_dir / "golden_eval_report.txt").read_bytes()
     assert out.read_bytes() == (data_dir / "golden_eval_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "stats"])
+@pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+def test_cli_dataset_without_records_exits_two(tmp_path, capsys, command, text):
+    ds = _write(tmp_path / "ds.jsonl", text)
+    preds = _write(tmp_path / "preds.jsonl", "")
+    argv = [command, "--dataset", ds]
+    if command == "evaluate":
+        argv += ["--predictions", preds]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ds}: no dataset records\n"
+
+
+def test_cli_evaluate_mixed_language_modes_exits_two_at_the_line(tmp_path, capsys):
+    ds, preds = _evaluate_flow(tmp_path)
+    lines = ds.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[4])
+    record["lang"] = "zh-char"
+    lines[4] = json.dumps(record, ensure_ascii=False) + "\n"
+    ds.write_text("".join(lines), encoding="utf-8")
+    assert main(["evaluate", "--dataset", str(ds), "--predictions", str(preds)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {ds}:5: language mode zh-char differs from the first record's en-word\n"
+    )
+
+
+def test_cli_evaluate_mean_of_perplexities_near_the_float_limit(tmp_path, capsys):
+    # the two values sum past the float range; their mean does not
+    ds, preds = _evaluate_flow(tmp_path, per_kind=1)
+    lines = ds.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    for record in records[:2]:
+        record["aux"] = {"ppl": 1e308}
+    ds.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ["evaluate", "--dataset", str(ds), "--predictions", str(preds), "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["overall"]["mean_ppl"] == 1e308
 
 
 def test_cli_evaluate_missing_prediction(tmp_path, capsys):
@@ -737,6 +789,25 @@ def test_construct_corpus_matches_golden_records(data_dir, neighbors):
     ]
 
 
+def test_read_parses_checks_each_tree_once(data_dir, monkeypatch):
+    calls = []
+    inner = ParseAnnotation.__post_init__
+
+    def counted(self):
+        calls.append(self.caption_index)
+        inner(self)
+
+    monkeypatch.setattr(ParseAnnotation, "__post_init__", counted)
+    groups = cio.read_captions(_golden(data_dir, "captions.jsonl"))
+    parses = cio.read_parses(
+        _golden(data_dir, "parses.conllu"), groups, _golden(data_dir, "srl.jsonl")
+    )
+    framed = [p for p in parses.values() if p.frames]
+    assert framed and len(framed) < len(parses)
+    # one check per sentence: attaching the SRL frames checks no copy
+    assert len(calls) == len(parses)
+
+
 _SRL_OK = '{"caption_id": "vid1#0", "predicate": 8, "arguments": []}\n'
 _ROOT_ROW = "1\ta\t_\tDET\t_\t_\t0\troot\t_\t_\n"
 
@@ -789,6 +860,10 @@ def _sentence(sent_id, caption):
          "{path}:2:", "ppl must be a number, got '42'"),
         ("ppl.jsonl", '{"caption_id": "vid1#0", "ppl": true}',
          "{path}:1:", "ppl must be a number, got True"),
+        ("ppl.jsonl", '{"caption_id": "vid1#0", "ppl": 42.0}\n{"caption_id": "vid1#1", "ppl": NaN}',
+         "{path}:2:", "ppl must be a number, got nan"),
+        ("ppl.jsonl", '{"caption_id": "vid1#0", "ppl": 1e400}',
+         "{path}:1:", "ppl must be a number, got inf"),
         ("neighbors.jsonl", '{"video_id": "vid1", "neighbors": 5}',
          "{path}:1:", "neighbors must be a list of strings, got 5"),
         ("neighbors.jsonl", '{"video_id": "vid1", "neighbors": []}\n'
@@ -846,7 +921,7 @@ def _sentence(sent_id, caption):
         "conllu-bad-sent-id", "conllu-two-roots",
         "srl-predicate-past-end", "srl-predicate-negative", "srl-start-after-end",
         "srl-end-past-caption", "srl-start-negative",
-        "ppl-string", "ppl-numeric-string", "ppl-bool",
+        "ppl-string", "ppl-numeric-string", "ppl-bool", "ppl-nan", "ppl-past-float-range",
         "neighbors-number", "neighbors-string", "neighbors-not-strings",
         "captions-string", "captions-not-strings", "captions-video-id-number",
         "neighbors-video-id-null", "ppl-caption-id-number", "srl-caption-id-list",
@@ -949,6 +1024,9 @@ def _construct_argv(data_dir, out, config) -> list[str]:
         ('{"split": {"mapping": {"vid1": "dev"}}}', "split mapping must map video ids"),
         ('{"split": {"mapping": ["vid1"]}}', "split mapping must map video ids"),
         ('{"split": {"ratio": [1, 0, 0]}}', "split must be an object of ratios, seed and mapping"),
+        ('{"ppl_threshold": NaN}', "ppl_threshold must be a number or null, got nan"),
+        ('{"similarity_threshold": 1e400}', "similarity_threshold must be a number, got inf"),
+        ('{"similarity_threshold": -Infinity}', "similarity_threshold must be a number, got -inf"),
     ],
     ids=[
         "invalid-json", "not-utf8", "int-as-string", "set-as-number", "one-ratio", "unknown-key",
@@ -957,6 +1035,7 @@ def _construct_argv(data_dir, out, config) -> list[str]:
         "split-not-an-object", "negative-ratio", "ratios-as-string", "ratios-sum-past-one",
         "null-for-required", "seed-as-string",
         "unknown-partition", "mapping-as-list", "unknown-split-key",
+        "nan", "past-float-range", "negative-infinity",
     ],
 )
 def test_cli_construct_malformed_config_exits_two(tmp_path, capsys, data_dir, text, needle):

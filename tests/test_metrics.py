@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -454,3 +455,14 @@ def test_evaluate_corpus_scores_each_unit_once(monkeypatch):
         "lcs_length": len(units), "dsa_ops": positional, "normalized_tokens": 3 * len(units),
     }
 
+
+
+def test_mean_survives_a_sum_past_the_float_range():
+    # fsum raises OverflowError on these; the exact sum gives the mean
+    assert metrics._mean([1e308, 1e308]) == 1e308
+    values = [1.7e308, 1.7e308, -1.5e308]
+    assert metrics._mean(values) == float(sum(map(Fraction, values)) / 3)
+    # a sum in range is fsum's, as before
+    values = [0.1, 0.2, 0.3, 1e-20]
+    assert metrics._mean(values) == math.fsum(values) / 4
+    assert metrics._mean([]) is None
