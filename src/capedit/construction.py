@@ -932,8 +932,9 @@ def construct_corpus(
             key = (s.video_id, id(s.ground_truth))
             if key not in found:
                 found[key] = ppl.get((s.video_id, text_mod.detokenize(s.ground_truth)))
-            if found[key] is not None:
-                object.__setattr__(s, "ppl", found[key])
+            value = found[key]
+            if value is not None:
+                object.__setattr__(s, "ppl", value)
     samples = filter_and_balance(samples, config, seed)
     for i, s in enumerate(samples):
         object.__setattr__(s, "id", f"s{i:06d}")
