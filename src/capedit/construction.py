@@ -283,7 +283,7 @@ def build_add_length(group: CaptionGroup, min_diff: int = 5) -> list[EditSample]
     out = []
     for i, ref in enumerate(group.captions):
         for j, gt in enumerate(group.captions):
-            if i == j or len(gt) - len(ref) <= min_diff:
+            if i == j or len(gt.tokens) - len(ref.tokens) <= min_diff:
                 continue
             out.append(
                 EditSample(
@@ -314,6 +314,61 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(a | b)
 
 
+def _similarity_neighbors(
+    groups: list[CaptionGroup], threshold: float
+) -> dict[str, list[str]]:
+    """Each video's others whose content-token pools score a Jaccard
+    similarity of at least threshold, by descending score, then video id.
+
+    An exact prefix-filtered join (Bayardo et al., "All-Pairs", WWW
+    2007; Xiao et al., PPJoin, WWW 2008).  Tokens are ranked by
+    ascending document frequency, ties by token, and videos are visited
+    by (pool size, position).  Each video scores the visited videos
+    indexed under its probe prefix, once per pair, with _jaccard and the
+    >= test, and then joins the index under its index prefix.
+
+    The prefixes come from t-, the float below t: a pair whose float
+    score reaches t has o/u > t- exactly, even when its score rounds up
+    to t, where ceil(t*|a|) would be one token too many.  For |b| <= |a|
+    that gives o > t-*|a| and o > 2t-/(1+t-)*|b| shared tokens, so the
+    first shared token lies in a's first |a| - floor(t-*|a|) tokens and
+    in b's first |b| - floor(2t-/(1+t-)*|b|).  For t <= 0 every pair
+    scores at least t and is a candidate; above 1, or at NaN, none is.
+    """
+    pools = {g.video_id: _content_tokens(g) for g in groups}
+    vids = [g.video_id for g in groups]
+    if not threshold <= 1:  # NaN, or above every score
+        return {vid: [] for vid in vids}
+    sets = [pools[vid] for vid in vids]
+    scored: list[list[tuple[float, str]]] = [[] for _ in vids]
+    order = sorted(range(len(vids)), key=lambda i: len(sets[i]))
+    if threshold > 0:
+        df = Counter(tok for pool in sets for tok in pool)
+        rank = {tok: r for r, tok in enumerate(sorted(df, key=lambda tok: (df[tok], tok)))}
+        num, den = math.nextafter(threshold, 0).as_integer_ratio()  # t- exactly
+        postings: dict[str, list[int]] = defaultdict(list)
+    for visited, i in enumerate(order):
+        pool = sets[i]
+        if threshold > 0:
+            n = len(pool)
+            ranked = sorted(pool, key=rank.__getitem__)
+            candidates = set().union(*[postings[tok] for tok in ranked[: n - num * n // den]])
+            for tok in ranked[: n - 2 * num * n // (num + den)]:
+                postings[tok].append(i)
+        else:
+            candidates = order[:visited]
+        vid = vids[i]
+        for j in candidates:
+            other = vids[j]
+            if other == vid:
+                continue
+            sim = _jaccard(pool, sets[j])
+            if sim >= threshold:
+                scored[i].append((-sim, other))
+                scored[j].append((-sim, vid))
+    return {vid: [v for _, v in sorted(s)] for vid, s in zip(vids, scored)}
+
+
 def build_del_length(
     groups: list[CaptionGroup],
     min_diff: int = 5,
@@ -324,28 +379,15 @@ def build_del_length(
     a similar other video, the ground truth from the current video.
 
     Similarity is Jaccard overlap of content tokens between caption
-    pools unless an explicit neighbor list is supplied.  Jaccard is
-    symmetric, so each unordered pair of videos is scored once and the
-    score is recorded on both sides; each video's neighbors are the
-    others scoring at least the threshold, by descending score, then
-    video id.
+    pools unless an explicit neighbor list is supplied.  Each video's
+    neighbors are the others scoring at least the threshold, by
+    descending score, then video id.  They come from an exact indexed
+    join that scores only the pairs its prefix filter cannot rule out,
+    and equal the lists that scoring every pair gives.
     """
     by_id = {g.video_id: g for g in groups}
     if neighbors is None:
-        pools = {g.video_id: _content_tokens(g) for g in groups}
-        vids = [g.video_id for g in groups]
-        scored: list[list[tuple[float, str]]] = [[] for _ in vids]
-        for i, vid in enumerate(vids):
-            pool = pools[vid]
-            for j in range(i + 1, len(vids)):
-                other = vids[j]
-                if other == vid:
-                    continue
-                sim = _jaccard(pool, pools[other])
-                if sim >= similarity_threshold:
-                    scored[i].append((-sim, other))
-                    scored[j].append((-sim, vid))
-        neighbors = {vid: [v for _, v in sorted(s)] for vid, s in zip(vids, scored)}
+        neighbors = _similarity_neighbors(groups, similarity_threshold)
     out = []
     for g in sorted(groups, key=lambda x: x.video_id):
         for vid in neighbors.get(g.video_id, []):
@@ -356,7 +398,7 @@ def build_del_length(
                 raise DatasetError(f"video {vid!r} is listed as its own neighbor")
             for ref in other.captions:
                 for gt in g.captions:
-                    if len(ref) - len(gt) <= min_diff:
+                    if len(ref.tokens) - len(gt.tokens) <= min_diff:
                         continue
                     out.append(
                         EditSample(
@@ -395,6 +437,22 @@ def _subtree_spans(parse: ParseAnnotation) -> list[tuple[int, int, int]]:
             lo[node] = min(lo[node], lo[ch])
             hi[node] = max(hi[node], hi[ch])
     return [(size[i], lo[i], hi[i]) for i in range(n)]
+
+
+def _maximal_branches(
+    candidates: list[tuple[tuple[int, int], int]]
+) -> list[tuple[tuple[int, int], int]]:
+    """The (span, head) candidates whose span lies inside no other's, in
+    span order.  Subtree spans nest or are disjoint, so in (start, -end)
+    order a span lies inside an earlier one exactly when it ends no later
+    than the furthest end so far: one sort and one sweep."""
+    maximal = []
+    reach = 0
+    for span, head in sorted(candidates, key=lambda c: (c[0][0], -c[0][1])):
+        if span[1] > reach:
+            maximal.append((span, head))
+            reach = span[1]
+    return maximal
 
 
 def degrade(
@@ -449,17 +507,7 @@ def degrade(
             continue
         candidates.append(((lo, hi + 1), i))
 
-    # keep maximal branches only
-    maximal = []
-    for span, head in candidates:
-        if any(
-            other[0] <= span[0] and span[1] <= other[1] and other != span
-            for other, _ in candidates
-        ):
-            continue
-        maximal.append((span, head))
-    maximal.sort()
-
+    maximal = _maximal_branches(candidates)
     small = [(span, head) for span, head in maximal if span[1] - span[0] <= config.merge_max_tokens]
     large = [(span, head) for span, head in maximal if span[1] - span[0] > config.merge_max_tokens]
 
@@ -544,15 +592,19 @@ def make_attribute_samples(
     """
     config = config or ConstructionConfig()
     original = group.captions[caption_index]
+    n_original = len(original.tokens)
     others = [
         (cap, hay)
         for i, (cap, hay) in enumerate(zip(group.captions, group.normalized))
         if i != caption_index
     ]
+    # the add target's search order depends only on the original's length
+    by_original_len = sorted(others, key=lambda c: abs(len(c[0].tokens) - n_original))
     out: list[EditSample] = []
     common = dict(id="", video_id=group.video_id, mode=group.mode)
 
     for deg in degradations:
+        n_edited = len(deg.edited.tokens)
         payload = tuple(original.tokens[s:e] for s, e in deg.removed_spans)
         out.append(
             EditSample(
@@ -569,8 +621,8 @@ def make_attribute_samples(
         del_target = next(
             (
                 cap
-                for cap, hay in sorted(others, key=lambda c: (abs(len(c[0]) - len(deg.edited)),))
-                if len(cap) < len(original) and not _contains_any_attr(hay, deg.attributes)
+                for cap, hay in sorted(others, key=lambda c: abs(len(c[0].tokens) - n_edited))
+                if len(cap.tokens) < n_original and not _contains_any_attr(hay, deg.attributes)
             ),
             None,
         )
@@ -616,8 +668,8 @@ def make_attribute_samples(
         add_target = next(
             (
                 cap
-                for cap, hay in sorted(others, key=lambda c: (abs(len(c[0]) - len(original)),))
-                if len(cap) > len(deg.edited) and _contains_all_attrs(hay, deg.attributes)
+                for cap, hay in by_original_len
+                if len(cap.tokens) > n_edited and _contains_all_attrs(hay, deg.attributes)
             ),
             None,
         )
@@ -662,7 +714,7 @@ def claim_kinds(sample: EditSample, config: ConstructionConfig) -> set[CommandKi
     kind other than its own also needs the length to change by more than
     min_length_diff in the operation's direction."""
     own = kind(sample.command)
-    diff = len(sample.ground_truth) - len(sample.reference)
+    diff = len(sample.ground_truth.tokens) - len(sample.reference.tokens)
     if own.op is Operation.DEL:
         diff = -diff
     longer = diff > config.min_length_diff
@@ -802,15 +854,18 @@ def corpus_stats(samples: list[EditSample]) -> StatRecord:
 
     Lengths and edit distances are token-level over normalized tokens;
     vocabulary counts distinct normalized tokens over references and
-    ground truths.  Each distinct sequence is normalized once."""
+    ground truths.  Each distinct sequence is normalized once, and the
+    edit distance, which is symmetric, is computed once per unordered
+    pair of distinct sequences (a degradation's del and add samples
+    share one).  The sums are exact ints, so below 2**53 each mean is
+    the float that math.fsum over the values gives."""
     if not samples:
         raise ValueError("empty corpus")
     vocab = set()
-    ref_lens = []
-    gt_lens = []
-    dists = []
+    ref_total = gt_total = dist_total = 0
     per_kind: Counter = Counter()
     normed: dict[TokenSeq, tuple[str, ...]] = {}
+    dists: dict[int, int] = {}
 
     def norm(seq: TokenSeq) -> tuple[str, ...]:
         out = normed.get(seq)
@@ -822,16 +877,23 @@ def corpus_stats(samples: list[EditSample]) -> StatRecord:
     for s in samples:
         ref_n = norm(s.reference)
         gt_n = norm(s.ground_truth)
-        ref_lens.append(len(ref_n))
-        gt_lens.append(len(gt_n))
-        dists.append(kernels.edit_distance(ref_n, gt_n))
+        ref_total += len(ref_n)
+        gt_total += len(gt_n)
+        # the unordered pair of normalized tuples as one int (ids are below
+        # 2**64); equal sequences share one tuple, alive in normed
+        a, b = id(ref_n), id(gt_n)
+        pair = (a << 64 | b) if a < b else (b << 64 | a)
+        dist = dists.get(pair)
+        if dist is None:
+            dist = dists[pair] = kernels.edit_distance(ref_n, gt_n)
+        dist_total += dist
         per_kind[kind(s.command).value] += 1
     n = len(samples)
     return StatRecord(
         count=n,
-        mean_ref_len=math.fsum(ref_lens) / n,
-        mean_gt_len=math.fsum(gt_lens) / n,
-        mean_edit_distance=math.fsum(dists) / n,
+        mean_ref_len=ref_total / n,
+        mean_gt_len=gt_total / n,
+        mean_edit_distance=dist_total / n,
         vocabulary=len(vocab),
         per_kind={k: per_kind[k] for k in sorted(per_kind)},
     )

@@ -163,7 +163,9 @@ def _records(path: str):
         rec = _Record(None, path, lineno)
         try:
             rec.data = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # besides JSONDecodeError: an integer literal past CPython's
+            # digit limit (ValueError) and nesting too deep (RecursionError)
             raise rec.error(f"invalid JSON ({exc})") from exc
         if not isinstance(rec.data, dict):
             raise rec.error(f"expected a JSON object, got {type(rec.data).__name__}")
@@ -362,7 +364,7 @@ def read_config(path: str) -> tuple[ConstructionConfig, dict | None]:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise DatasetError(f"{path}: invalid JSON ({exc})") from exc
     return ConstructionConfig.from_dict(data, path), data.get("split")
 

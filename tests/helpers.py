@@ -12,7 +12,7 @@ import random
 from dataclasses import replace
 
 from capedit.commands import Command, CommandKind, Operation
-from capedit.construction import EditSample, Provenance
+from capedit.construction import CaptionGroup, EditSample, Provenance
 from capedit.editing import oracle_apply
 from capedit.metrics import EvalUnit
 from capedit.text import LanguageMode, TokenSeq
@@ -163,6 +163,47 @@ def make_samples(
             vid = f"v{i % max(per_kind // 3, 1):04d}"
             out.append(make_sample(rng, kind, vid, delta))
     return [replace(s, id=f"t{i:06d}") for i, s in enumerate(out)]
+
+
+def _zipf_word(rank: int) -> str:
+    """The vocabulary's rank-th word: "q" and rank in base-26 letters,
+    alphabetic and never a stopword, so always a content token."""
+    letters = ""
+    while True:
+        rank, digit = divmod(rank, 26)
+        letters += chr(ord("a") + digit)
+        if not rank:
+            return "q" + letters
+
+
+def zipf_pools(
+    rng: random.Random, videos: int, vocabulary: int, cluster: int = 0
+) -> list[CaptionGroup]:
+    """Caption pools of ten captions over one shared content vocabulary
+    whose word frequencies follow Zipf's law (rank r has weight 1/r), as
+    real captions share frequent words such as "man" and "playing".  Each
+    caption is "a", 3-8 content words and ".".  With cluster > 0 the
+    videos come in topic clusters of that many, and half of a caption's
+    content words are drawn from its cluster's dozen topic words, picked
+    uniformly from the vocabulary, so similar videos share rarer words."""
+    words = [_zipf_word(r) for r in range(vocabulary)]
+    cum, total = [], 0.0
+    for r in range(1, vocabulary + 1):
+        total += 1 / r
+        cum.append(total)
+    topic: list[str] = []
+    groups = []
+    for v in range(videos):
+        if cluster and v % cluster == 0:
+            topic = rng.sample(words, 12)
+        caps = []
+        for _ in range(10):
+            n = rng.randint(3, 8)
+            own = rng.choices(topic, k=n // 2) if cluster else []
+            content = own + rng.choices(words, cum_weights=cum, k=n - len(own))
+            caps.append(TokenSeq(("a", *content, "."), WORD))
+        groups.append(CaptionGroup(f"z{v:05d}", tuple(caps)))
+    return groups
 
 
 def make_units(

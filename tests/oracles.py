@@ -8,7 +8,8 @@ exhaustive monotone alignment enumeration (iterative deepening) for
 the aligner, a list-based multiset calculator for SARI, the claim
 sets and reassignment of balancing as one branch per kind, a balancer
 that rescans every donor pool with those claim sets on every move, a
-similarity join that scores every ordered pair of videos, a
+similarity join that scores every ordered pair of videos, the
+maximal-branch filter of degrade as a check of every candidate pair, a
 two-pass evaluator that rescores every unit for each report row with
 Counter arithmetic for SARI and BLEU and each kind's report label
 written out, the aligner as a full-table DP,
@@ -361,6 +362,22 @@ def filter_and_balance_rescan(samples, config=None, seed: int = 0) -> list:
                 pools[k] = [pools[k][i] for i in keep_idx]
 
     return [s for k in CommandKind for s in pools[k]]
+
+
+def maximal_branches_all_pairs(candidates) -> list:
+    """construction.degrade's maximal (span, head) branches by checking
+    each candidate against every other: those whose span no other span
+    contains, sorted."""
+    maximal = []
+    for span, head in candidates:
+        if any(
+            other[0] <= span[0] and span[1] <= other[1] and other != span
+            for other, _ in candidates
+        ):
+            continue
+        maximal.append((span, head))
+    maximal.sort()
+    return maximal
 
 
 def neighbors_all_pairs(groups, similarity_threshold: float) -> dict:

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from dataclasses import replace
@@ -27,13 +28,14 @@ from capedit.construction import (
 )
 from capedit.editing import oracle_apply
 from capedit.errors import CommandError, DatasetError
-from capedit.text import LanguageMode, TokenSeq, detokenize, tokenize
+from capedit.text import LanguageMode, TokenSeq, detokenize, normalized_tokens, tokenize
 
-from helpers import make_sample, make_samples
+from helpers import make_sample, make_samples, zipf_pools
 from oracles import (
     KIND_LABELS,
     claim_kinds_table,
     filter_and_balance_rescan,
+    maximal_branches_all_pairs,
     neighbors_all_pairs,
     reassign_branches,
 )
@@ -255,6 +257,95 @@ def test_build_del_length_matches_all_pairs_oracle():
     assert at_threshold and ties
 
 
+def _join_pools(name: str) -> list[CaptionGroup]:
+    rng = random.Random(name)
+    if name == "disjoint":
+        return [CaptionGroup(f"v{i}", (T(f"a q{'x' * i} runs ."),)) for i in range(5)]
+    if name == "two-empty":
+        # "the ." and "it is ." hold no content token
+        empty = [CaptionGroup("e1", (T("the ."),)), CaptionGroup("e2", (T("it is ."),))]
+        return empty + [CaptionGroup("v1", (T("a dog runs ."),))]
+    if name == "ratios":
+        # pools of 3 and 10 tokens, so 1/3 and 3/10 are scores
+        words = [f"q{c}" for c in "abcdefghijklmn"]
+        sizes = (3, 10, 10, 3, 9, 6, 1, 2)
+        return [
+            CaptionGroup(f"v{i}", (T(" ".join(rng.sample(words, k)) + " ."),))
+            for i, k in enumerate(sizes)
+        ]
+    if name == "repeated-ids":
+        groups = zipf_pools(rng, 30, 40)
+        return groups + [CaptionGroup(groups[i].video_id, groups[j].captions) for i, j in
+                         ((3, 7), (5, 5), (12, 0))]
+    return zipf_pools(rng, 60, {"zipf-dense": 40, "zipf": 600}[name], cluster=3)
+
+
+@pytest.mark.parametrize(
+    "name", ["disjoint", "two-empty", "ratios", "repeated-ids", "zipf-dense", "zipf"]
+)
+@pytest.mark.parametrize(
+    "threshold", [-math.inf, -0.5, 0, 0.0, 0.1, 1 / 3, 0.3, 0.5, 1, 1.0, 1.5, math.inf]
+)
+def test_similarity_join_matches_all_pairs_oracle(name, threshold):
+    groups = _join_pools(name)
+    got = construction._similarity_neighbors(groups, threshold)
+    assert got == neighbors_all_pairs(groups, threshold)
+    if threshold <= 0:  # every pair qualifies, however disjoint or empty
+        for vid, nbrs in got.items():
+            assert len(nbrs) == sum(g.video_id != vid for g in groups)
+    if threshold > 1:
+        assert not any(got.values())
+
+
+def test_similarity_join_at_attainable_ratios():
+    """Thresholds equal to a score that some pair attains, including
+    floats that round up from the ratio (0.1 > 1/10) and down (0.3 < 3/10,
+    1/3): pairs scoring exactly the threshold are kept."""
+    at_threshold = 0
+    for case in range(40):
+        rng = random.Random(case)
+        groups = _join_pools("ratios") if case % 2 else zipf_pools(rng, 40, 30, cluster=4)
+        pools = [construction._content_tokens(g) for g in groups]
+        sims = sorted({construction._jaccard(a, b) for a in pools for b in pools} - {0.0})
+        for threshold in sims[:: max(1, len(sims) // 6)] + [0.1, 0.3, 1 / 3, 2 / 3]:
+            expected = neighbors_all_pairs(groups, threshold)
+            assert construction._similarity_neighbors(groups, threshold) == expected
+            at_threshold += any(
+                construction._jaccard(pools[i], pools[j]) == threshold
+                for i in range(len(pools)) for j in range(i)
+            )
+    assert at_threshold > 100
+
+
+def test_similarity_join_of_a_nan_threshold_is_empty():
+    groups = _join_pools("zipf-dense")
+    assert construction._similarity_neighbors(groups, math.nan) == neighbors_all_pairs(
+        groups, math.nan
+    )
+    assert build_del_length(groups, -1000, math.nan) == []
+
+
+def test_similarity_join_scores_few_pairs_of_a_clustered_pool(monkeypatch):
+    """Work counted, not timed: on topic clusters over a shared Zipf
+    vocabulary the prefix filter leaves under 15% of the pairs to score."""
+    groups = zipf_pools(random.Random(7), 240, 5000, cluster=3)
+    scored = 0
+    jaccard = construction._jaccard
+
+    def counting(a, b):
+        nonlocal scored
+        scored += 1
+        return jaccard(a, b)
+
+    monkeypatch.setattr(construction, "_jaccard", counting)
+    got = construction._similarity_neighbors(groups, 0.3)
+    pairs = len(groups) * (len(groups) - 1) // 2
+    assert scored < 0.15 * pairs
+    monkeypatch.setattr(construction, "_jaccard", jaccard)
+    assert got == neighbors_all_pairs(groups, 0.3)
+    assert sum(map(len, got.values())) > 0
+
+
 def test_degrade_girls_caption():
     degs = degrade(GIRLS, GIRLS_PARSE)
     assert len(degs) == 1
@@ -450,6 +541,52 @@ def test_degrade_rejection_rules():
     )
     assert [d.removed_spans for d in degrade(dogs, ann)] == [((0, 2),)]
     assert degrade(dogs, ann, ConstructionConfig(min_remaining_tokens=4)) == []
+
+
+def _random_tree(rng: random.Random, n: int, shape: str) -> ParseAnnotation:
+    """An n-token parse: "flat" hangs every token from the root, "nested"
+    from a token between it and the root, "random" from any token visited
+    before it.  All branches are amod ADJ, so each contiguous subtree is a
+    candidate."""
+    root = rng.randrange(n)
+    heads = [-1] * n
+    if shape == "random":
+        order = [root] + rng.sample([i for i in range(n) if i != root], n - 1)
+        for k in range(1, n):
+            heads[order[k]] = order[rng.randrange(k)]
+    for i in range(n) if shape != "random" else ():
+        if i != root:
+            toward = (i + 1, root) if i < root else (root, i - 1)
+            heads[i] = root if shape == "flat" else rng.randint(*toward)
+    return ParseAnnotation(
+        0,
+        tuple(
+            DepToken(f"w{i}", "VERB" if h == -1 else "ADJ", h, "root" if h == -1 else "amod")
+            for i, h in enumerate(heads)
+        ),
+    )
+
+
+@pytest.mark.parametrize("shape", ["flat", "nested", "random"])
+def test_maximal_branches_match_all_pairs_oracle(shape, monkeypatch):
+    for case in range(150):
+        rng = random.Random(f"{shape}{case}")
+        ann = _random_tree(rng, rng.randrange(2, 40), shape)
+        spans = construction._subtree_spans(ann)
+        candidates = [
+            ((lo, hi + 1), i)
+            for i, (size, lo, hi) in enumerate(spans)
+            if i != ann.root and hi - lo + 1 == size and rng.random() < 0.8
+        ]
+        rng.shuffle(candidates)
+        assert construction._maximal_branches(candidates) == maximal_branches_all_pairs(
+            candidates
+        )
+        caption = T(" ".join(t.form for t in ann.tokens))
+        swept = degrade(caption, ann)
+        with monkeypatch.context() as m:
+            m.setattr(construction, "_maximal_branches", maximal_branches_all_pairs)
+            assert degrade(caption, ann) == swept
 
 
 def test_degrade_checks_caption_parse_agreement():
@@ -823,6 +960,30 @@ def test_corpus_stats():
     assert stats.per_kind == {"add_len": 2}
     with pytest.raises(ValueError):
         corpus_stats([])
+
+
+def test_corpus_stats_measures_each_distinct_pair_once(monkeypatch):
+    """The del and the reversed add of a degradation share one pair, and
+    equal sequences of different samples count as one; the means equal
+    fsum over one distance per sample."""
+    samples = []
+    for caption, ann in ((GIRLS, GIRLS_PARSE), (RIDES, RIDES_PARSE)):
+        degs = degrade(caption, ann)
+        samples += make_attribute_samples(degs, CaptionGroup("v", (caption, T("girls play ."))), 0)
+        # an equal caption in another object
+        samples += make_attribute_samples(degs, CaptionGroup("w", (T(detokenize(caption)),)), 0)
+    calls = []
+    distance = construction.kernels.edit_distance
+    monkeypatch.setattr(
+        construction.kernels, "edit_distance", lambda a, b: calls.append(1) or distance(a, b)
+    )
+    stats = corpus_stats(samples)
+    pairs = {frozenset((s.reference.tokens, s.ground_truth.tokens)) for s in samples}
+    assert len(calls) == len(pairs) < len(samples)
+    norm = [(normalized_tokens(s.reference), normalized_tokens(s.ground_truth)) for s in samples]
+    assert stats.mean_edit_distance == math.fsum(distance(a, b) for a, b in norm) / len(samples)
+    assert stats.mean_ref_len == math.fsum(len(a) for a, _ in norm) / len(samples)
+    assert stats.mean_gt_len == math.fsum(len(b) for _, b in norm) / len(samples)
 
 
 def test_partition_videos_ratios():

@@ -216,6 +216,39 @@ def _with_numbers(number: float):
     return mutate
 
 
+def _number_path(value, path=()):
+    """The keys down to value's first number, or None when it holds none."""
+    if type(value) in (int, float):
+        return path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            found = _number_path(item, (*path, key))
+            if found is not None:
+                return found
+    return None
+
+
+_PLACEHOLDER = "\ufdd0"  # a noncharacter that no input holds
+
+
+def _with_literal(literal: str, number: bool):
+    """One value replaced by a JSON literal: the file's first number when
+    number is set and the file holds one, else its first record's first
+    value.  The literal is spliced into the text, as json.dumps cannot
+    write it."""
+    def mutate(text: str, suffix: str) -> str:
+        docs = [json.loads(line) for line in ([text] if suffix == ".json" else text.splitlines())
+                if line.strip()]
+        found = [(doc, path) for doc in docs if number and (path := _number_path(doc))]
+        doc, path = found[0] if found else (docs[0], (next(iter(docs[0])),))
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = _PLACEHOLDER
+        out = "".join(json.dumps(d, ensure_ascii=False) + "\n" for d in docs)
+        return out.replace(json.dumps(_PLACEHOLDER, ensure_ascii=False), literal)
+    return mutate
+
+
 # whole-file mutations: (text, file suffix) -> text, and the suffixes
 # each applies to
 _WHOLE_FILE = {
@@ -224,6 +257,10 @@ _WHOLE_FILE = {
     "lang-flipped": (lambda text, suffix: _flip_lang(text), (".jsonl",)),
     "nan": (_with_numbers(math.nan), (".jsonl", ".json")),
     "1e308": (_with_numbers(1e308), (".jsonl", ".json")),
+    # json.loads raises RecursionError on the one and ValueError (the
+    # int-string digit limit) on the other, not JSONDecodeError
+    "deep-array": (_with_literal("[" * 1000 + "]" * 1000, number=False), (".jsonl", ".json")),
+    "long-int": (_with_literal("9" * 5000, number=True), (".jsonl", ".json")),
 }
 
 
