@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from capedit import kernels
 from capedit.commands import MASK_TOKEN, PositionedReference
-from capedit.text import TokenSeq, normalize, normalized_tokens
+from capedit.text import TokenSeq, _check_modes, normalize, normalized_tokens
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,7 @@ class AlignmentResult:
 
 
 def dsa_align(posref: PositionedReference, hyp: TokenSeq) -> AlignmentResult:
-    if posref.mode is not hyp.mode:
-        raise ValueError(
-            f"language mode mismatch: {posref.mode.value} vs {hyp.mode.value}"
-        )
+    _check_modes(posref, hyp)
     ref: list[str | None] = [
         None if raw == MASK_TOKEN else t
         for raw, t in zip(posref.tokens, normalize(posref.tokens, posref.mode))

@@ -35,54 +35,52 @@ ORACLE_NOTE = (
 )
 
 
+def _output(path: str | None):
+    """The file at path for writing, or stdout (left open) without one."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+
+
+def _write_json(path: str | None, obj) -> None:
+    """obj as indented JSON and a newline, to the file at path or stdout."""
+    with _output(path) as out:
+        json.dump(obj, out, ensure_ascii=False, indent=2)
+        out.write("\n")
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     # The predictions are read first; the dataset is then streamed, each
-    # record scored as it is read, so no list of samples is kept.
+    # record scored as it is read, so no list of samples is kept.  The
+    # dataset input that evaluate_corpus rejects, a mode other than the
+    # first record's or no record at all, is reported here at its line.
     predictions = cio.read_predictions(args.predictions)
 
     def units():
+        mode = None
         for lineno, sample in cio.iter_dataset(args.dataset):
             hypothesis = predictions.get(sample.id)
             if hypothesis is None:
                 raise DatasetError(
                     f"{args.dataset}:{lineno}: no prediction for sample id {sample.id!r}"
                 )
+            if mode is None:
+                mode = sample.mode
+            elif sample.mode is not mode:
+                raise DatasetError(
+                    f"{args.dataset}:{lineno}: language mode {sample.mode.value} differs "
+                    f"from the first record's {mode.value}"
+                )
             yield EvalUnit(sample, tokenize(hypothesis, sample.mode))
+        if mode is None:
+            raise DatasetError(f"{args.dataset}: no dataset records")
 
-    try:
-        report = evaluate_corpus(units(), delta=args.delta)
-    except ValueError:
-        _check_one_mode(args.dataset)
-        raise
+    report = evaluate_corpus(units(), delta=args.delta)
     sys.stdout.write(format_report_table(report))
     if args.out:
         payload = report.to_dict()
         if not args.per_kind:
             payload = {"overall": payload["overall"]}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
+        _write_json(args.out, payload)
     return 0
-
-
-def _check_one_mode(path: str) -> None:
-    """Raise DatasetError if the dataset at path is one that
-    evaluate_corpus rejects as bad input: one without records, reported
-    at path, or one mixing language modes, reported at the first record
-    whose mode differs from the first record's.  evaluate reads the file
-    again for this only after evaluate_corpus has failed, so scoring a
-    good dataset does no extra work per record."""
-    mode = None
-    for lineno, sample in cio.iter_dataset(path):
-        if mode is None:
-            mode = sample.mode
-        elif sample.mode is not mode:
-            raise DatasetError(
-                f"{path}:{lineno}: language mode {sample.mode.value} differs from the "
-                f"first record's {mode.value}"
-            )
-    if mode is None:
-        raise DatasetError(f"{path}: no dataset records")
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -107,16 +105,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             seed=split_spec.get("seed", args.seed),
         )
     cio.write_dataset(args.out, samples, partition)
-    stats = corpus_stats(samples)
-    with open(args.out + ".stats.json", "w", encoding="utf-8") as fh:
-        json.dump(stats.to_dict(), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    _write_json(args.out + ".stats.json", corpus_stats(samples).to_dict())
     return 0
-
-
-def _output(path: str | None):
-    """The file at path for writing, or stdout (left open) without one."""
-    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _cmd_serialize(args: argparse.Namespace) -> int:
@@ -230,8 +220,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     samples = cio.read_dataset(args.dataset)
     if not samples:
         raise DatasetError(f"{args.dataset}: no dataset records")
-    stats = corpus_stats(samples)
-    sys.stdout.write(json.dumps(stats.to_dict(), ensure_ascii=False, indent=2) + "\n")
+    _write_json(None, corpus_stats(samples).to_dict())
     return 0
 
 

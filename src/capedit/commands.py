@@ -160,8 +160,9 @@ class PositionedReference:
 def check_reference(ref: TokenSeq, cmd: Command) -> None:
     """Raise CommandError unless cmd's positions can be woven into ref:
     no token of ref belongs to the control grammar, and the last gap or
-    span lies inside it.  make_positioned_reference and EditSample both
-    run this one check; it builds nothing."""
+    span lies inside it.  make_positioned_reference, EditSample,
+    editing.oracle_apply and editing.session_step all run this one
+    check; it builds nothing."""
     tokens = ref.tokens
     if not RESERVED_TOKENS.isdisjoint(tokens):
         tok = next(t for t in tokens if t in RESERVED_TOKENS)
@@ -332,35 +333,20 @@ def parse(
     mask_idx = [i for i, t in enumerate(ref_toks) if t == MASK_TOKEN]
     plain = tuple(t for t in ref_toks if t != MASK_TOKEN)
 
-    if op is Operation.ADD:
-        original = TokenSeq(plain, mode)
+    if op is Operation.DEL and mask_idx:
+        if original_ref is None:
+            # original unknown: single-token spans keep the mask arithmetic valid
+            positions = tuple((i, i + 1) for i in mask_idx)
+        else:
+            positions = tuple(_recover_del_spans(original_ref.tokens, tuple(ref_toks)))
+        original = original_ref
+    else:
         if original_ref is not None and original_ref.tokens != plain:
             raise ControlFormatError("reference block does not match the supplied original")
         positions = tuple(idx - rank for rank, idx in enumerate(mask_idx)) or None
-        cmd = Command(op, positions, attributes)
-        posref = PositionedReference(
-            tuple(ref_toks), mode, original_ref if original_ref is not None else original, len(mask_idx)
-        )
-        return cmd, posref
-
-    if not mask_idx:
-        original = TokenSeq(plain, mode)
-        if original_ref is not None and original_ref.tokens != plain:
-            raise ControlFormatError("reference block does not match the supplied original")
-        cmd = Command(op, None, attributes)
-        return cmd, PositionedReference(tuple(ref_toks), mode, original, 0)
-
-    if original_ref is not None:
-        spans = _recover_del_spans(original_ref.tokens, tuple(ref_toks))
-        cmd = Command(op, tuple(spans), attributes)
-        return cmd, PositionedReference(tuple(ref_toks), mode, original_ref, len(mask_idx))
-
-    # original unknown: assume single-token spans so mask arithmetic stays valid
-    spans = []
-    oi = 0
-    for t in ref_toks:
-        if t == MASK_TOKEN:
-            spans.append((oi, oi + 1))
-        oi += 1
-    cmd = Command(op, tuple(spans), attributes)
-    return cmd, PositionedReference(tuple(ref_toks), mode, None, len(mask_idx))
+        if op is Operation.DEL or original_ref is None:
+            original = TokenSeq(plain, mode)
+        else:
+            original = original_ref
+    cmd = Command(op, positions, attributes)
+    return cmd, PositionedReference(tuple(ref_toks), mode, original, len(mask_idx))

@@ -115,31 +115,45 @@ class ParseAnnotation:
     frames: tuple[SrlFrame, ...] = ()
 
     def __post_init__(self) -> None:
-        n = len(self.tokens)
+        self.subtree_spans  # the one walk of the arcs checks that they form a tree
+
+    @cached_property
+    def root(self) -> int:
         roots = [i for i, t in enumerate(self.tokens) if t.head == -1]
         if len(roots) != 1:
             raise ValueError(f"parse must have exactly one root, found {len(roots)}")
-        for i, t in enumerate(self.tokens):
-            if t.head != -1 and not 0 <= t.head < n:
-                raise ValueError(f"token {i}: head {t.head} out of range")
-        # with one root and every head in range, the arcs are a tree iff
-        # a walk down from the root reaches every token; the rest of a
-        # token set cut off from the root must contain a cycle
+        return roots[0]
+
+    @cached_property
+    def subtree_spans(self) -> tuple[tuple[int, int, int], ...]:
+        """Per token: (size, min_index, max_index) of its subtree.
+
+        Raises ValueError unless the arcs form a tree, checking for one
+        root, then for the first head out of range, then for a cycle:
+        with one root and every head in range, the arcs are a tree iff a
+        walk down from the root reaches every token, and the tokens cut
+        off from the root must contain a cycle."""
+        order = [self.root]  # raises first without exactly one root
+        n = len(self.tokens)
         children: list[list[int]] = [[] for _ in range(n)]
         for i, t in enumerate(self.tokens):
             if t.head != -1:
+                if not 0 <= t.head < n:
+                    raise ValueError(f"token {i}: head {t.head} out of range")
                 children[t.head].append(i)
-        stack = [roots[0]]
-        reached = 0
-        while stack:
-            reached += 1
-            stack.extend(children[stack.pop()])
-        if reached != n:
+        for node in order:  # breadth first: parents before children
+            order.extend(children[node])
+        if len(order) != n:
             raise ValueError("dependency arcs contain a cycle")
-
-    @property
-    def root(self) -> int:
-        return next(i for i, t in enumerate(self.tokens) if t.head == -1)
+        size = [1] * n
+        lo = list(range(n))
+        hi = list(range(n))
+        for node in reversed(order[1:]):
+            head = self.tokens[node].head
+            size[head] += size[node]
+            lo[head] = min(lo[head], lo[node])
+            hi[head] = max(hi[head], hi[node])
+        return tuple(zip(size, lo, hi))
 
     def check_caption(self, caption: TokenSeq) -> None:
         """Raise DatasetError unless the parse's forms are the caption's tokens."""
@@ -277,7 +291,9 @@ def _check_split(split, fail) -> None:
         raise fail(f"split mapping must map video ids to train, val or test, got {mapping!r}")
 
 
-def build_add_length(group: CaptionGroup, min_diff: int = 5) -> list[EditSample]:
+def build_add_length(
+    group: CaptionGroup, min_diff: int = ConstructionConfig.min_length_diff
+) -> list[EditSample]:
     """Length-only adds: every ordered caption pair of the video whose
     lengths differ by more than min_diff tokens."""
     out = []
@@ -371,8 +387,8 @@ def _similarity_neighbors(
 
 def build_del_length(
     groups: list[CaptionGroup],
-    min_diff: int = 5,
-    similarity_threshold: float = 0.3,
+    min_diff: int = ConstructionConfig.min_length_diff,
+    similarity_threshold: float = ConstructionConfig.similarity_threshold,
     neighbors: dict[str, list[str]] | None = None,
 ) -> list[EditSample]:
     """Length-only dels via negative retrieval: the reference comes from
@@ -414,31 +430,6 @@ def build_del_length(
     return out
 
 
-def _subtree_spans(parse: ParseAnnotation) -> list[tuple[int, int, int]]:
-    """Per token: (size, min_index, max_index) of its subtree."""
-    n = len(parse.tokens)
-    children: list[list[int]] = [[] for _ in range(n)]
-    for i, t in enumerate(parse.tokens):
-        if t.head != -1:
-            children[t.head].append(i)
-    size = [1] * n
-    lo = list(range(n))
-    hi = list(range(n))
-    # process nodes bottom-up (children before parents)
-    order = []
-    stack = [parse.root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(children[node])
-    for node in reversed(order):
-        for ch in children[node]:
-            size[node] += size[ch]
-            lo[node] = min(lo[node], lo[ch])
-            hi[node] = max(hi[node], hi[ch])
-    return [(size[i], lo[i], hi[i]) for i in range(n)]
-
-
 def _maximal_branches(
     candidates: list[tuple[tuple[int, int], int]]
 ) -> list[tuple[tuple[int, int], int]]:
@@ -473,7 +464,7 @@ def degrade(
     parse.check_caption(caption)
     n = len(caption)
 
-    spans = _subtree_spans(parse)
+    spans = parse.subtree_spans
     root = parse.root
     core_spans = [
         (s, e)
@@ -601,24 +592,26 @@ def make_attribute_samples(
     # the add target's search order depends only on the original's length
     by_original_len = sorted(others, key=lambda c: abs(len(c[0].tokens) - n_original))
     out: list[EditSample] = []
-    common = dict(id="", video_id=group.video_id, mode=group.mode)
+
+    def emit(command, reference, ground_truth, provenance, payload=None) -> None:
+        out.append(
+            EditSample(
+                "", group.video_id, group.mode, command, reference, ground_truth,
+                provenance, payload,
+            )
+        )
 
     for deg in degradations:
         n_edited = len(deg.edited.tokens)
         payload = tuple(original.tokens[s:e] for s, e in deg.removed_spans)
-        out.append(
-            EditSample(
-                command=Command(Operation.DEL, deg.removed_spans),
-                reference=original,
-                ground_truth=deg.edited,
-                provenance=Provenance.DEGRADATION,
-                payload=payload,
-                **common,
-            )
+        emit(
+            Command(Operation.DEL, deg.removed_spans), original, deg.edited,
+            Provenance.DEGRADATION, payload,
         )
 
-        # del by attribute: the ground truth must not contain the attributes
-        del_target = next(
+        # del by attribute: the ground truth, another caption or else the
+        # degraded one, must not contain the attributes
+        truth = next(
             (
                 cap
                 for cap, hay in sorted(others, key=lambda c: abs(len(c[0].tokens) - n_edited))
@@ -626,26 +619,11 @@ def make_attribute_samples(
             ),
             None,
         )
-        if del_target is not None:
-            out.append(
-                EditSample(
-                    command=Command(Operation.DEL, None, deg.attributes),
-                    reference=original,
-                    ground_truth=del_target,
-                    provenance=Provenance.RELAXATION,
-                    **common,
-                )
-            )
-        elif not _contains_any_attr(normalized_tokens(deg.edited), deg.attributes):
-            out.append(
-                EditSample(
-                    command=Command(Operation.DEL, None, deg.attributes),
-                    reference=original,
-                    ground_truth=deg.edited,
-                    provenance=Provenance.DEGRADATION,
-                    **common,
-                )
-            )
+        provenance = Provenance.RELAXATION
+        if truth is None and not _contains_any_attr(normalized_tokens(deg.edited), deg.attributes):
+            truth, provenance = deg.edited, Provenance.DEGRADATION
+        if truth is not None:
+            emit(Command(Operation.DEL, None, deg.attributes), original, truth, provenance)
 
         # reversal: add the removed content back at recorded gaps
         gaps = []
@@ -653,19 +631,14 @@ def make_attribute_samples(
         for s, e in deg.removed_spans:
             gaps.append(s - removed_before)
             removed_before += e - s
-        out.append(
-            EditSample(
-                command=Command(Operation.ADD, tuple(gaps), deg.attributes),
-                reference=deg.edited,
-                ground_truth=original,
-                provenance=Provenance.REVERSAL,
-                payload=payload,
-                **common,
-            )
+        emit(
+            Command(Operation.ADD, tuple(gaps), deg.attributes), deg.edited, original,
+            Provenance.REVERSAL, payload,
         )
 
-        # add by attribute: the ground truth must contain the attributes
-        add_target = next(
+        # add by attribute: the ground truth, another caption or else the
+        # original, must contain the attributes
+        truth = next(
             (
                 cap
                 for cap, hay in by_original_len
@@ -673,26 +646,10 @@ def make_attribute_samples(
             ),
             None,
         )
-        if add_target is not None:
-            out.append(
-                EditSample(
-                    command=Command(Operation.ADD, None, deg.attributes),
-                    reference=deg.edited,
-                    ground_truth=add_target,
-                    provenance=Provenance.RELAXATION,
-                    **common,
-                )
-            )
-        else:
-            out.append(
-                EditSample(
-                    command=Command(Operation.ADD, None, deg.attributes),
-                    reference=deg.edited,
-                    ground_truth=original,
-                    provenance=Provenance.REVERSAL,
-                    **common,
-                )
-            )
+        provenance = Provenance.RELAXATION
+        if truth is None:
+            truth, provenance = original, Provenance.REVERSAL
+        emit(Command(Operation.ADD, None, deg.attributes), deg.edited, truth, provenance)
     return out
 
 

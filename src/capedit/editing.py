@@ -14,12 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from capedit.commands import (
-    Command,
-    CommandKind,
-    kind,
-    make_positioned_reference,
-)
+from capedit.commands import Command, CommandKind, check_reference, kind
 from capedit.errors import OracleError
 from capedit.text import PUNCT_CHARS, TokenSeq, find_phrase, normalize
 
@@ -70,7 +65,7 @@ def oracle_apply(
     with positions, optionally the expected removed content, which is
     then verified against the reference.
     """
-    make_positioned_reference(ref, cmd)  # validates positions against ref
+    check_reference(ref, cmd)
     k = kind(cmd)
     toks = list(ref.tokens)
 
@@ -201,11 +196,11 @@ def session_step(
     """Append one round; the edit comes from the oracle unless a
     hypothesis (e.g. a model output) is supplied."""
     ref = session.current
-    make_positioned_reference(ref, cmd)  # positions must be valid for this round
     if hypothesis is None:
         edited = oracle_apply(cmd, ref, payload, delta=delta)
         source = RoundSource.ORACLE
     else:
+        check_reference(ref, cmd)  # positions must be valid for this round
         if hypothesis.mode is not ref.mode:
             raise ValueError("hypothesis language mode differs from the session")
         edited = hypothesis

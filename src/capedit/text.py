@@ -110,7 +110,9 @@ def find_phrase(hay: tuple[str, ...], phrase: tuple[str, ...]) -> int:
     return -1
 
 
-def _check_modes(a: TokenSeq, b: TokenSeq) -> None:
+def _check_modes(a, b) -> None:
+    """Raise ValueError unless a and b, token or positioned-reference
+    sequences, share a language mode."""
     if a.mode is not b.mode:
         raise ValueError(
             f"language mode mismatch: {a.mode.value} vs {b.mode.value}"

@@ -572,7 +572,7 @@ def test_maximal_branches_match_all_pairs_oracle(shape, monkeypatch):
     for case in range(150):
         rng = random.Random(f"{shape}{case}")
         ann = _random_tree(rng, rng.randrange(2, 40), shape)
-        spans = construction._subtree_spans(ann)
+        spans = ann.subtree_spans
         candidates = [
             ((lo, hi + 1), i)
             for i, (size, lo, hi) in enumerate(spans)

@@ -404,6 +404,30 @@ def test_cli_evaluate_mixed_language_modes_exits_two_at_the_line(tmp_path, capsy
     )
 
 
+@pytest.mark.parametrize("later_fault", ["no-prediction", "invalid-json-at-7"])
+def test_cli_evaluate_mode_switch_is_checked_in_file_order(tmp_path, capsys, later_fault):
+    # line 5 switches to zh-char; a fault of the same record found first,
+    # or of a later line, does not change which error is reported
+    ds, preds = _evaluate_flow(tmp_path)
+    lines = ds.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[4])
+    record["lang"] = "zh-char"
+    lines[4] = json.dumps(record, ensure_ascii=False) + "\n"
+    if later_fault == "no-prediction":
+        hyps = preds.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert json.loads(hyps[4])["id"] == record["id"]
+        preds.write_text("".join(hyps[:4] + hyps[5:]), encoding="utf-8")
+        expected = f"{ds}:5: no prediction for sample id {record['id']!r}"
+    else:
+        lines[6] = "{nope\n"
+        expected = f"{ds}:5: language mode zh-char differs from the first record's en-word"
+    ds.write_text("".join(lines), encoding="utf-8")
+    assert main(["evaluate", "--dataset", str(ds), "--predictions", str(preds)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {expected}\n"
+
+
 def test_cli_evaluate_mean_of_perplexities_near_the_float_limit(tmp_path, capsys):
     # the two values sum past the float range; their mean does not
     ds, preds = _evaluate_flow(tmp_path, per_kind=1)
@@ -914,6 +938,14 @@ def _sentence(sent_id, caption):
          "{path}:2:", "duplicate video id 'vid2'"),
         ("neighbors.jsonl", '{"video_id": "vid1", "neighbors": ["vid1"]}',
          "{path}:1:", "video 'vid1' is listed as its own neighbor"),
+        # a tree is checked for one root, then for heads in range, then for a cycle
+        ("parses.conllu", "# sent_id = vid1#0\n1\ta\t_\tDET\t_\t_\t9\tdep\t_\t_\n"
+         + _ROOT_ROW.replace("1\ta", "2\tb") + _ROOT_ROW.replace("1\ta", "3\tc"),
+         "{path}:1: sentence 'vid1#0'", "parse must have exactly one root, found 2"),
+        ("parses.conllu", "# sent_id = vid1#0\n" + _ROOT_ROW
+         + "2\tb\t_\tNOUN\t_\t_\t3\tdep\t_\t_\n3\tc\t_\tNOUN\t_\t_\t2\tdep\t_\t_\n"
+         + "4\td\t_\tNOUN\t_\t_\t9\tdep\t_\t_\n",
+         "{path}:1: sentence 'vid1#0'", "token 3: head 8 out of range"),
     ],
     ids=[
         "srl-predicate-string", "srl-predicate-float", "srl-argument-without-label",
@@ -929,6 +961,7 @@ def _sentence(sent_id, caption):
         "conllu-duplicate-sent-id", "conllu-token-mismatch", "conllu-token-count",
         "neighbors-unknown-video", "captions-reserved-token-reference",
         "captions-reserved-token-truth", "neighbors-duplicate-video", "neighbors-self",
+        "conllu-two-roots-before-head-out-of-range", "conllu-head-out-of-range-before-cycle",
     ],
 )
 def test_cli_malformed_annotation_exits_two(tmp_path, capsys, data_dir, name, text, where, needle):
