@@ -568,7 +568,6 @@ def make_attribute_samples(
     degradations: list[Degradation],
     group: CaptionGroup,
     caption_index: int,
-    config: ConstructionConfig | None = None,
 ) -> list[EditSample]:
     """Turn degradations of one caption into edit samples.
 
@@ -581,7 +580,6 @@ def make_attribute_samples(
     the degraded/original pair.  Captions are matched against attributes
     by the group's normalized tokens, computed once per group.
     """
-    config = config or ConstructionConfig()
     original = group.captions[caption_index]
     n_original = len(original.tokens)
     others = [
@@ -811,23 +809,29 @@ def corpus_stats(samples: list[EditSample]) -> StatRecord:
 
     Lengths and edit distances are token-level over normalized tokens;
     vocabulary counts distinct normalized tokens over references and
-    ground truths.  Each distinct sequence is normalized once, and the
-    edit distance, which is symmetric, is computed once per unordered
-    pair of distinct sequences (a degradation's del and add samples
-    share one).  The sums are exact ints, so below 2**53 each mean is
+    ground truths.  Each distinct sequence, keyed by its mode and
+    tokens, is normalized once.  The edit distance, which is symmetric,
+    is computed once per unordered pair of distinct sequences (a
+    degradation's del and add samples share one), and the match table
+    of its longer side once per distinct longer side, since many pairs
+    share one.  The sums are exact ints, so below 2**53 each mean is
     the float that math.fsum over the values gives."""
     if not samples:
         raise ValueError("empty corpus")
     vocab = set()
     ref_total = gt_total = dist_total = 0
     per_kind: Counter = Counter()
-    normed: dict[TokenSeq, tuple[str, ...]] = {}
+    # keys that hash in C: (word mode?, tokens)
+    normed: dict[tuple, tuple[str, ...]] = {}
+    tables: dict[int, dict] = {}
     dists: dict[int, int] = {}
+    word = LanguageMode.WORD
 
     def norm(seq: TokenSeq) -> tuple[str, ...]:
-        out = normed.get(seq)
+        key = (seq.mode is word, seq.tokens)
+        out = normed.get(key)
         if out is None:
-            out = normed[seq] = normalized_tokens(seq)
+            out = normed[key] = normalized_tokens(seq)
             vocab.update(out)
         return out
 
@@ -842,9 +846,14 @@ def corpus_stats(samples: list[EditSample]) -> StatRecord:
         pair = (a << 64 | b) if a < b else (b << 64 | a)
         dist = dists.get(pair)
         if dist is None:
-            dist = dists[pair] = kernels.edit_distance(ref_n, gt_n)
+            longer, shorter = (gt_n, ref_n) if len(ref_n) < len(gt_n) else (ref_n, gt_n)
+            peq = tables.get(id(longer))
+            if peq is None:
+                peq = tables[id(longer)] = kernels._match_masks(longer)
+            dist = dists[pair] = kernels._myers_distance(peq, len(longer), shorter)
         dist_total += dist
-        per_kind[kind(s.command).value] += 1
+        # _value_: a str hashes in C, an Enum member in Python
+        per_kind[kind(s.command)._value_] += 1
     n = len(samples)
     return StatRecord(
         count=n,
@@ -937,7 +946,7 @@ def construct_corpus(
             if ann is None:
                 continue
             degs = degrade(group.captions[ci], ann, config)
-            samples.extend(make_attribute_samples(degs, group, ci, config))
+            samples.extend(make_attribute_samples(degs, group, ci))
     samples.extend(
         build_del_length(
             groups, config.min_length_diff, config.similarity_threshold, neighbors

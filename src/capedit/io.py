@@ -40,7 +40,7 @@ from capedit.construction import (
 )
 from capedit.editing import Payload, Session
 from capedit.errors import CapeditError, DatasetError
-from capedit.text import LanguageMode, TokenSeq, detokenize, join, tokenize
+from capedit.text import LanguageMode, TokenSeq, detokenize, tokenize
 
 
 class _Record:
@@ -203,18 +203,6 @@ def _command_from_wire(rec: _Record, mode: LanguageMode) -> Command:
         raise rec.error(str(exc)) from exc
 
 
-def _command_to_wire(cmd: Command, mode: LanguageMode) -> dict:
-    out: dict = {"op": cmd.op.value}
-    if cmd.positions is not None:
-        if cmd.op is Operation.ADD:
-            out["positions"] = list(cmd.positions)
-        else:
-            out["positions"] = [[s, e] for s, e in cmd.positions]
-    if cmd.attributes is not None:
-        out["attributes"] = [join(p, mode) for p in cmd.attributes]
-    return out
-
-
 def sample_from_wire(record: dict, path: str = "<memory>", lineno: int = 0) -> EditSample:
     rec = _Record(record, path, lineno)
     rid = rec.string("id")
@@ -251,28 +239,6 @@ def sample_from_wire(record: dict, path: str = "<memory>", lineno: int = 0) -> E
         raise rec.error(str(exc)) from exc
 
 
-def sample_to_wire(sample: EditSample) -> dict:
-    out: dict = {
-        "id": sample.id,
-        "video_id": sample.video_id,
-        "lang": sample.mode.value,
-        "command": _command_to_wire(sample.command, sample.mode),
-        "reference": detokenize(sample.reference),
-        "ground_truth": detokenize(sample.ground_truth),
-    }
-    if sample.payload is not None:
-        out["payload"] = [join(span, sample.mode) for span in sample.payload]
-    aux = {}
-    if sample.ppl is not None:
-        aux["ppl"] = sample.ppl
-    if sample.emscore is not None:
-        aux["emscore"] = sample.emscore
-    if aux:
-        out["aux"] = aux
-    out["provenance"] = sample.provenance.value
-    return out
-
-
 def iter_dataset(path: str) -> Iterator[tuple[int, EditSample]]:
     """(line number, sample) of each dataset record, one at a time as it
     is read; a record that repeats an earlier id is reported at its
@@ -294,12 +260,59 @@ def read_dataset(path: str) -> list[EditSample]:
 # what json.dumps(obj, ensure_ascii=False) returns, without building an
 # encoder per call
 _dump = json.JSONEncoder(ensure_ascii=False).encode
+# the string escape that encoder applies
+_str = json.encoder.encode_basestring
+
+
+def _number(value) -> str:
+    """An aux value as _dump writes it: a finite float is its repr, and
+    anything else (an int, a bool, NaN or inf) goes through _dump."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return _dump(value)
+
+
+def _record_line(sample: EditSample) -> str:
+    """The dataset record of sample as one line: exactly _dump of its
+    JSON object (the keys and order of the module docstring, the ", "
+    and ": " separators) plus "\\n", built from string pieces.  Enum
+    values are read from _value_, not through the Python-level
+    Enum.value property."""
+    sep = " " if sample.mode is LanguageMode.WORD else ""
+    cmd = sample.command
+    line = (
+        f'{{"id": {_str(sample.id)}, "video_id": {_str(sample.video_id)}, '
+        f'"lang": {_str(sample.mode._value_)}, "command": {{"op": {_str(cmd.op._value_)}'
+    )
+    if cmd.positions is not None:
+        if cmd.op is Operation.ADD:
+            line += ', "positions": [' + ", ".join(map(str, cmd.positions)) + "]"
+        else:
+            line += ', "positions": [' + ", ".join([f"[{s}, {e}]" for s, e in cmd.positions]) + "]"
+    if cmd.attributes is not None:
+        line += ', "attributes": [' + ", ".join([_str(sep.join(p)) for p in cmd.attributes]) + "]"
+    line += (
+        f'}}, "reference": {_str(sep.join(sample.reference.tokens))}, '
+        f'"ground_truth": {_str(sep.join(sample.ground_truth.tokens))}'
+    )
+    if sample.payload is not None:
+        line += ', "payload": [' + ", ".join([_str(sep.join(s)) for s in sample.payload]) + "]"
+    if sample.ppl is not None or sample.emscore is not None:
+        aux = [
+            f'"{key}": {_number(value)}'
+            for key, value in (("ppl", sample.ppl), ("emscore", sample.emscore))
+            if value is not None
+        ]
+        line += ', "aux": {' + ", ".join(aux) + "}"
+    return line + f', "provenance": {_str(sample.provenance._value_)}}}\n'
 
 
 def write_dataset(
     path: str, samples: Iterable[EditSample], partition: dict[str, str] | None = None
 ) -> None:
-    """Write one record per line to path, dumping each sample once.
+    """Write one record per line to path.  Each sample is encoded once,
+    by _record_line, straight to the line that json.dumps(record,
+    ensure_ascii=False) would write, with no dict in between.
 
     With partition (video id -> partition name), the same line also
     goes to <stem>.<partition>.jsonl in the same pass, where stem is
@@ -315,7 +328,7 @@ def write_dataset(
                 for part in PARTITIONS
             }
         for sample in samples:
-            line = _dump(sample_to_wire(sample)) + "\n"
+            line = _record_line(sample)
             fh.write(line)
             if partition is not None:
                 split_fhs[partition[sample.video_id]].write(line)

@@ -65,10 +65,16 @@ def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
     """
     if len(a) < len(b):
         a, b = b, a
-    m = len(a)
+    return _myers_distance(_match_masks(a), len(a), b)
+
+
+def _myers_distance(peq: dict, m: int, b: Sequence[str]) -> int:
+    """Edit distance between b and a sequence a of length m >= len(b)
+    whose Peq table is peq = _match_masks(a): edit_distance's bit loop,
+    for a caller that measures several sequences against one a and so
+    builds its table once."""
     if not b:
         return m
-    peq = _match_masks(a)
     mask = (1 << m) - 1
     top = 1 << (m - 1)
     pv = mask

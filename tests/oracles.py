@@ -13,8 +13,10 @@ maximal-branch filter of degrade as a check of every candidate pair, a
 two-pass evaluator that rescores every unit for each report row with
 Counter arithmetic for SARI and BLEU and each kind's report label
 written out, the aligner as a full-table DP,
-the SARI/BLEU overlap counts from per-order dict counts, and the del
-span recovery as a backtracking search.
+the SARI/BLEU overlap counts from per-order dict counts, the del
+span recovery as a backtracking search, and the dataset record as the
+dict that json.dumps(..., ensure_ascii=False) writes (the wire-format
+reference for io's line encoder).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import replace
 
 from capedit import text as text_mod
 from capedit.commands import MASK_TOKEN, Command, CommandKind, Operation, kind
-from capedit.construction import ConstructionConfig, _content_tokens, _jaccard
+from capedit.construction import ConstructionConfig, EditSample, _content_tokens, _jaccard
 from capedit.kernels import OP_DEL, OP_INS, OP_MASK, OP_MATCH, OP_SUB
 from capedit.metrics import (
     MetricReport,
@@ -37,6 +39,7 @@ from capedit.metrics import (
     pos_acc,
     rouge_l_score,
 )
+from capedit.text import LanguageMode, detokenize, join
 
 
 def tokenize_words_split(text: str) -> tuple[str, ...]:
@@ -681,3 +684,37 @@ def recover_del_spans_backtracking(
         return None
 
     return rec(0, 0, [])
+
+
+def _command_to_wire(cmd: Command, mode: LanguageMode) -> dict:
+    out: dict = {"op": cmd.op.value}
+    if cmd.positions is not None:
+        if cmd.op is Operation.ADD:
+            out["positions"] = list(cmd.positions)
+        else:
+            out["positions"] = [[s, e] for s, e in cmd.positions]
+    if cmd.attributes is not None:
+        out["attributes"] = [join(p, mode) for p in cmd.attributes]
+    return out
+
+
+def sample_to_wire(sample: EditSample) -> dict:
+    out: dict = {
+        "id": sample.id,
+        "video_id": sample.video_id,
+        "lang": sample.mode.value,
+        "command": _command_to_wire(sample.command, sample.mode),
+        "reference": detokenize(sample.reference),
+        "ground_truth": detokenize(sample.ground_truth),
+    }
+    if sample.payload is not None:
+        out["payload"] = [join(span, sample.mode) for span in sample.payload]
+    aux = {}
+    if sample.ppl is not None:
+        aux["ppl"] = sample.ppl
+    if sample.emscore is not None:
+        aux["emscore"] = sample.emscore
+    if aux:
+        out["aux"] = aux
+    out["provenance"] = sample.provenance.value
+    return out

@@ -44,7 +44,7 @@ from capedit.metrics import (
 from capedit.text import LanguageMode, TokenSeq, tokenize
 
 from helpers import make_sample, make_samples
-from oracles import align_oracle, sari_independent
+from oracles import align_oracle, sample_to_wire, sari_independent
 
 WORD = LanguageMode.WORD
 
@@ -242,8 +242,8 @@ def _fixture_corpus(data_dir):
 def test_acceptance_5_construction_reconstruction(capsys, data_dir, tmp_path):
     first, split_spec = _fixture_corpus(data_dir)
     second, _ = _fixture_corpus(data_dir)
-    stable = [cio.sample_to_wire(s) for s in first] == [
-        cio.sample_to_wire(s) for s in second
+    stable = [sample_to_wire(s) for s in first] == [
+        sample_to_wire(s) for s in second
     ]
     with_payload = [
         s for s in first

@@ -964,22 +964,36 @@ def test_corpus_stats():
 
 def test_corpus_stats_measures_each_distinct_pair_once(monkeypatch):
     """The del and the reversed add of a degradation share one pair, and
-    equal sequences of different samples count as one; the means equal
-    fsum over one distance per sample."""
+    equal sequences of different samples count as one; the match table
+    of each distinct longer side is built once, though several pairs
+    share it; the means equal fsum over one distance per sample."""
     samples = []
     for caption, ann in ((GIRLS, GIRLS_PARSE), (RIDES, RIDES_PARSE)):
         degs = degrade(caption, ann)
         samples += make_attribute_samples(degs, CaptionGroup("v", (caption, T("girls play ."))), 0)
         # an equal caption in another object
         samples += make_attribute_samples(degs, CaptionGroup("w", (T(detokenize(caption)),)), 0)
-    calls = []
-    distance = construction.kernels.edit_distance
+    tables, calls = [], []
+    match_masks = construction.kernels._match_masks
+    myers_distance = construction.kernels._myers_distance
     monkeypatch.setattr(
-        construction.kernels, "edit_distance", lambda a, b: calls.append(1) or distance(a, b)
+        construction.kernels, "_match_masks", lambda a: tables.append(a) or match_masks(a)
+    )
+    monkeypatch.setattr(
+        construction.kernels,
+        "_myers_distance",
+        lambda peq, m, b: calls.append(1) or myers_distance(peq, m, b),
     )
     stats = corpus_stats(samples)
     pairs = {frozenset((s.reference.tokens, s.ground_truth.tokens)) for s in samples}
     assert len(calls) == len(pairs) < len(samples)
+    # no two sides of a pair tie in length, so each pair has one longer side
+    assert all(len({len(x) for x in p}) == len(p) for p in pairs)
+    longer = {max(p, key=len) for p in pairs}
+    assert sorted(tables) == sorted(tuple(t.lower() for t in x) for x in longer)
+    assert len(tables) < len(pairs)
+    monkeypatch.undo()
+    distance = construction.kernels.edit_distance
     norm = [(normalized_tokens(s.reference), normalized_tokens(s.ground_truth)) for s in samples]
     assert stats.mean_edit_distance == math.fsum(distance(a, b) for a, b in norm) / len(samples)
     assert stats.mean_ref_len == math.fsum(len(a) for a, _ in norm) / len(samples)

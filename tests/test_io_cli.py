@@ -24,6 +24,7 @@ from capedit.errors import DatasetError
 from capedit.text import LanguageMode, detokenize, tokenize
 
 from helpers import make_samples
+from oracles import sample_to_wire
 
 WORD = LanguageMode.WORD
 CHAR = LanguageMode.CHAR
@@ -96,7 +97,7 @@ def _record(**kw):
 def test_iter_dataset_yields_each_sample_with_its_line(tmp_path):
     samples = make_samples(random.Random(11), 1)[:3]
     path = tmp_path / "ds.jsonl"
-    lines = [json.dumps(cio.sample_to_wire(s)) for s in samples]
+    lines = [json.dumps(sample_to_wire(s)) for s in samples]
     _write(path, lines[0] + "\n\n" + lines[1] + "\n" + lines[2] + "\n")
     assert list(cio.iter_dataset(str(path))) == list(zip((1, 3, 4), samples))
     assert cio.read_dataset(str(path)) == samples
@@ -808,7 +809,7 @@ def test_construct_corpus_matches_golden_records(data_dir, neighbors):
         "golden_construct_neighbors_corpus.jsonl" if neighbors
         else "golden_construct_corpus.jsonl"
     )).read_text(encoding="utf-8")
-    assert [cio.sample_to_wire(s) for s in samples] == [
+    assert [sample_to_wire(s) for s in samples] == [
         json.loads(line) for line in expected.splitlines()
     ]
 
@@ -1113,13 +1114,13 @@ def test_cli_construct_split_files_are_filtered_corpus_lines(tmp_path, data_dir,
 
 def test_cli_construct_serializes_each_record_once(tmp_path, data_dir, monkeypatch):
     calls = []
-    inner = cio.sample_to_wire
+    inner = cio._record_line
 
     def counted(sample):
         calls.append(sample.id)
         return inner(sample)
 
-    monkeypatch.setattr(cio, "sample_to_wire", counted)
+    monkeypatch.setattr(cio, "_record_line", counted)
     out = tmp_path / "corpus.jsonl"
     assert main(_construct_argv(data_dir, out, str(data_dir / "config.json"))) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
