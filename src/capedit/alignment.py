@@ -43,15 +43,8 @@ def dsa_align(posref: PositionedReference, hyp: TokenSeq) -> AlignmentResult:
         None if raw == MASK_TOKEN else t
         for raw, t in zip(posref.tokens, normalize(posref.tokens, posref.mode))
     ]
-    cost, ops = kernels.dsa_ops(ref, normalized_tokens(hyp))
-    pairs = []
-    spans = []
-    for op in ops:
-        if op[0] == kernels.OP_MATCH:
-            pairs.append((op[1], op[2]))
-        elif op[0] == kernels.OP_MASK:
-            spans.append((op[2], op[3]))
-    return AlignmentResult(tuple(pairs), tuple(spans), cost)
+    cost, pairs, spans = kernels.dsa_ops(ref, normalized_tokens(hyp))
+    return AlignmentResult(pairs, spans, cost)
 
 
 def mask_span_lengths(result: AlignmentResult) -> list[int]:

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 from capedit import kernels
 from capedit.errors import CommandError, ControlFormatError
-from capedit.text import LanguageMode, TokenSeq
+from capedit.text import LanguageMode, TokenSeq, find_phrase, splice
 
 MASK_TOKEN = "[MASK]"
-_OP_TOKENS = {"add": "[ADD]", "del": "[DEL]"}
+_OPERATION_TOKENS = {"add": "[ADD]", "del": "[DEL]"}
 _BRACKETS = frozenset({"[o]", "[/o]", "[a]", "[/a]", "[r]", "[/r]"})
 RESERVED_TOKENS = frozenset(_BRACKETS | {"[ADD]", "[DEL]", MASK_TOKEN})
 
@@ -180,34 +180,30 @@ def check_reference(ref: TokenSeq, cmd: Command) -> None:
 
 def make_positioned_reference(ref: TokenSeq, cmd: Command) -> PositionedReference:
     """Weave [MASK] slots into ref according to the command positions,
-    after check_reference."""
+    after check_reference: one at each add gap, one in place of each del
+    span."""
     check_reference(ref, cmd)
-    L = len(ref)
-    if cmd.positions is None:
+    pos = cmd.positions
+    if pos is None:
         return PositionedReference(ref.tokens, ref.mode, ref, 0)
-    if cmd.op is Operation.ADD:
-        gaps = set(cmd.positions)
-        out: list[str] = []
-        for i in range(L + 1):
-            if i in gaps:
-                out.append(MASK_TOKEN)
-            if i < L:
-                out.append(ref.tokens[i])
-        return PositionedReference(tuple(out), ref.mode, ref, len(gaps))
-    out = []
-    prev = 0
-    for s, e in cmd.positions:
-        out.extend(ref.tokens[prev:s])
-        out.append(MASK_TOKEN)
-        prev = e
-    out.extend(ref.tokens[prev:])
-    return PositionedReference(tuple(out), ref.mode, ref, len(cmd.positions))
+    spans = [(g, g) for g in pos] if cmd.op is Operation.ADD else pos
+    tokens = splice(ref.tokens, spans, [(MASK_TOKEN,)] * len(pos))
+    return PositionedReference(tokens, ref.mode, ref, len(pos))
+
+
+def attributes_hold(op: Operation, phrases, hay: tuple[str, ...]) -> bool:
+    """Whether hay, normalized tokens, satisfies the attribute phrases,
+    normalized alike: an add needs every phrase in hay as a contiguous
+    run, a del needs none of them."""
+    if op is Operation.ADD:
+        return all(find_phrase(hay, p) >= 0 for p in phrases)
+    return not any(find_phrase(hay, p) >= 0 for p in phrases)
 
 
 def serialize(cmd: Command, ref: TokenSeq) -> str:
     """Render the command and reference as a flat control string."""
     posref = make_positioned_reference(ref, cmd)
-    parts = ["[o]", _OP_TOKENS[cmd.op.value], "[/o]", "[a]"]
+    parts = ["[o]", _OPERATION_TOKENS[cmd.op.value], "[/o]", "[a]"]
     if cmd.attributes:
         for idx, phrase in enumerate(cmd.attributes):
             if idx:

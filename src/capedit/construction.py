@@ -33,6 +33,7 @@ from capedit.commands import (
     Command,
     CommandKind,
     Operation,
+    attributes_hold,
     check_reference,
     kind,
 )
@@ -41,8 +42,8 @@ from capedit.text import (
     LanguageMode,
     TokenSeq,
     _trusted_seq,
-    find_phrase,
     normalized_tokens,
+    splice,
 )
 
 # function words ignored by the caption-pool similarity measure
@@ -291,6 +292,12 @@ def _check_split(split, fail) -> None:
         raise fail(f"split mapping must map video ids to train, val or test, got {mapping!r}")
 
 
+# the length-only commands, which every such sample shares: a Command
+# is frozen
+_ADD_LEN = Command(Operation.ADD)
+_DEL_LEN = Command(Operation.DEL)
+
+
 def build_add_length(
     group: CaptionGroup, min_diff: int = ConstructionConfig.min_length_diff
 ) -> list[EditSample]:
@@ -306,7 +313,7 @@ def build_add_length(
                     id="",
                     video_id=group.video_id,
                     mode=group.mode,
-                    command=Command(Operation.ADD),
+                    command=_ADD_LEN,
                     reference=ref,
                     ground_truth=gt,
                     provenance=Provenance.LENGTH_PAIR,
@@ -421,7 +428,7 @@ def build_del_length(
                             id="",
                             video_id=g.video_id,
                             mode=g.mode,
-                            command=Command(Operation.DEL),
+                            command=_DEL_LEN,
                             reference=ref,
                             ground_truth=gt,
                             provenance=Provenance.NEGATIVE_RETRIEVAL,
@@ -515,13 +522,8 @@ def degrade(
         if n - removed < config.min_remaining_tokens:
             return None
         attrs = tuple((parse.tokens[h].form.lower(),) for _, h in members)
-        toks: list[str] = []
-        prev = 0
-        for s, e in spans_:
-            toks.extend(caption.tokens[prev:s])
-            prev = e
-        toks.extend(caption.tokens[prev:])
-        return Degradation(attrs, tuple(spans_), _trusted_seq(tuple(toks), caption.mode))
+        edited = splice(caption.tokens, spans_, [()] * len(spans_))
+        return Degradation(attrs, tuple(spans_), _trusted_seq(edited, caption.mode))
 
     results: list[Degradation] = []
     for span, head in large:
@@ -556,14 +558,6 @@ def degrade(
     return results
 
 
-def _contains_all_attrs(hay: tuple[str, ...], attrs) -> bool:
-    return all(find_phrase(hay, tuple(p)) >= 0 for p in attrs)
-
-
-def _contains_any_attr(hay: tuple[str, ...], attrs) -> bool:
-    return any(find_phrase(hay, tuple(p)) >= 0 for p in attrs)
-
-
 def make_attribute_samples(
     degradations: list[Degradation],
     group: CaptionGroup,
@@ -578,7 +572,9 @@ def make_attribute_samples(
     re-targeted to another caption of the same video when one satisfies
     the attribute and length constraints; otherwise they fall back to
     the degraded/original pair.  Captions are matched against attributes
-    by the group's normalized tokens, computed once per group.
+    by the group's normalized tokens, computed once per group, with
+    attributes_hold, the test attr_acc makes: the attributes are
+    lowercased forms, which normalize leaves as they are.
     """
     original = group.captions[caption_index]
     n_original = len(original.tokens)
@@ -613,12 +609,15 @@ def make_attribute_samples(
             (
                 cap
                 for cap, hay in sorted(others, key=lambda c: abs(len(c[0].tokens) - n_edited))
-                if len(cap.tokens) < n_original and not _contains_any_attr(hay, deg.attributes)
+                if len(cap.tokens) < n_original
+                and attributes_hold(Operation.DEL, deg.attributes, hay)
             ),
             None,
         )
         provenance = Provenance.RELAXATION
-        if truth is None and not _contains_any_attr(normalized_tokens(deg.edited), deg.attributes):
+        if truth is None and attributes_hold(
+            Operation.DEL, deg.attributes, normalized_tokens(deg.edited)
+        ):
             truth, provenance = deg.edited, Provenance.DEGRADATION
         if truth is not None:
             emit(Command(Operation.DEL, None, deg.attributes), original, truth, provenance)
@@ -640,7 +639,8 @@ def make_attribute_samples(
             (
                 cap
                 for cap, hay in by_original_len
-                if len(cap.tokens) > n_edited and _contains_all_attrs(hay, deg.attributes)
+                if len(cap.tokens) > n_edited
+                and attributes_hold(Operation.ADD, deg.attributes, hay)
             ),
             None,
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from capedit.commands import Command, CommandKind, check_reference, kind
 from capedit.errors import OracleError
-from capedit.text import PUNCT_CHARS, TokenSeq, find_phrase, normalize
+from capedit.text import PUNCT_CHARS, TokenSeq, find_phrase, normalize, splice
 
 # sentence-final punctuation preserved by append/truncate rules
 _TRAILING_PUNCT = PUNCT_CHARS | {"。", "！", "？"}
@@ -79,12 +79,10 @@ def oracle_apply(
                 raise OracleError(
                     f"payload has {len(payload)} spans for {len(cmd.positions)} positions"
                 )
-            blocks = [list(span) for span in payload]
+            blocks = payload
         if any(not b for b in blocks):
             raise OracleError("empty insertion span")
-        for gap, block in sorted(zip(cmd.positions, blocks), reverse=True):
-            toks[gap:gap] = block
-        return TokenSeq(tuple(toks), ref.mode)
+        return TokenSeq(splice(ref.tokens, [(g, g) for g in cmd.positions], blocks), ref.mode)
 
     if k is CommandKind.ADD_ATTR:
         block: list[str] = []
@@ -114,9 +112,7 @@ def oracle_apply(
                     raise OracleError(
                         f"payload span {span!r} does not match reference span ({s}, {e})"
                     )
-        for s, e in reversed(cmd.positions):
-            del toks[s:e]
-        return TokenSeq(tuple(toks), ref.mode)
+        return TokenSeq(splice(ref.tokens, cmd.positions, [()] * len(cmd.positions)), ref.mode)
 
     if k is CommandKind.DEL_ATTR:
         phrases = [normalize(p, ref.mode) for p in cmd.attributes]

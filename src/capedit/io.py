@@ -503,7 +503,8 @@ def read_parses(
     srl = _read_srl(srl_path) if srl_path else {}
     parses = {}
     for cid, (start, parse) in sentences.items():
-        caption = _caption(by_id, _split_caption_id(cid))
+        key = _split_caption_id(cid)
+        caption = _caption(by_id, key)
         if caption is not None:
             try:
                 parse.check_caption(caption)
@@ -516,7 +517,7 @@ def read_parses(
             # the tree checks never read the frames, and this parse is new,
             # so they are set in place instead of checking a copy again
             object.__setattr__(parse, "frames", tuple(frame for _, frame in frames))
-        parses[_split_caption_id(cid)] = parse
+        parses[key] = parse
     return parses
 
 

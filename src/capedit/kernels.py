@@ -20,7 +20,8 @@ blocking, since Python ints have arbitrary width.
     revisited", 2004.
 
 The aligner must read back one alignment under a fixed tie-break,
-which needs every cell of its table.  It keeps every cell as row
+which needs every cell of its table; it returns the cost, the matched
+pairs and the mask spans of that alignment.  It keeps every cell as row
 deltas: each row is its last cell plus two bit vectors, the +1 and -1
 steps between neighbouring cells, computed by the same Myers step (a
 token row) or as a running minimum over the set bits (a mask row), so
@@ -30,13 +31,6 @@ the table holds 2 * (n + 1) * m bits.  None marks a mask slot.
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
-
-# aligner op codes
-OP_MATCH = 0
-OP_SUB = 1
-OP_DEL = 2
-OP_INS = 3
-OP_MASK = 4
 
 
 def backend() -> str:
@@ -116,15 +110,16 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return len(a) - v.bit_count()
 
 
-def dsa_ops(ref: Sequence[str | None], hyp: Sequence[str]) -> tuple[int, list[tuple]]:
+def dsa_ops(ref: Sequence[str | None], hyp: Sequence[str]) -> tuple[int, tuple, tuple]:
     """Align a mask-bearing reference against a hypothesis; None entries
     in ref are mask slots.
 
     Masks absorb a contiguous, possibly empty run of hypothesis tokens
     at zero cost; match costs 0, substitution / deletion / insertion
-    cost 1.  Returns (cost, ops) with ops in forward order:
-    (OP_MATCH, i, j), (OP_SUB, i, j), (OP_DEL, i), (OP_INS, j),
-    (OP_MASK, i, js, je) meaning the mask at ref[i] absorbed hyp[js:je].
+    cost 1.  Returns (cost, pairs, mask_spans) of one minimum-cost
+    alignment: pairs holds each matched (i, j), ref[i] == hyp[j], and
+    mask_spans one (js, je) per mask, in reference order, meaning the
+    mask absorbed hyp[js:je].
 
     Tie-break among minimum-cost alignments, applied greedily from the
     left: longest mask absorption first, then match, substitution,
@@ -178,7 +173,8 @@ def dsa_ops(ref: Sequence[str | None], hyp: Sequence[str]) -> tuple[int, list[tu
         P[i] = pv
         M[i] = mv
 
-    ops: list[tuple] = []
+    pairs = []
+    spans = []
     i = j = 0
     while i < n or j < m:
         low = (1 << (m - j)) - 1  # the steps right of column j
@@ -189,7 +185,7 @@ def dsa_ops(ref: Sequence[str | None], hyp: Sequence[str]) -> tuple[int, list[tu
             for k in range(m - j, -1, -1):
                 part = (1 << (m - j - k)) - 1
                 if e + (pv & part).bit_count() - (mv & part).bit_count() == cur:
-                    ops.append((OP_MASK, i, j, j + k))
+                    spans.append((j, j + k))
                     i += 1
                     j += k
                     break
@@ -197,20 +193,15 @@ def dsa_ops(ref: Sequence[str | None], hyp: Sequence[str]) -> tuple[int, list[tu
         if i < n and j < m:
             part = low >> 1
             diag = e + (pv & part).bit_count() - (mv & part).bit_count()
-            if ref[i] == hyp[j] and diag == cur:
-                ops.append((OP_MATCH, i, j))
-                i += 1
-                j += 1
-                continue
-            if diag + 1 == cur:
-                ops.append((OP_SUB, i, j))
+            same = ref[i] == hyp[j]
+            if diag + (not same) == cur:  # a match, else a substitution
+                if same:
+                    pairs.append((i, j))
                 i += 1
                 j += 1
                 continue
         if i < n and e + (pv & low).bit_count() - (mv & low).bit_count() + 1 == cur:
-            ops.append((OP_DEL, i))
-            i += 1
-            continue
-        ops.append((OP_INS, j))
-        j += 1
-    return E[0] + P[0].bit_count() - M[0].bit_count(), ops
+            i += 1  # a deletion
+        else:
+            j += 1  # an insertion
+    return E[0] + P[0].bit_count() - M[0].bit_count(), tuple(pairs), tuple(spans)

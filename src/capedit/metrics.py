@@ -41,11 +41,12 @@ from capedit.alignment import dsa_align, mask_span_lengths
 from capedit.commands import (
     CommandKind,
     Operation,
+    attributes_hold,
     kind,
     make_positioned_reference,
 )
 from capedit.construction import EditSample
-from capedit.text import TokenSeq, find_phrase, normalize, normalized_tokens
+from capedit.text import TokenSeq, normalize, normalized_tokens
 
 ROUGE_BETA = 1.2
 
@@ -81,10 +82,7 @@ def _attr_hit(unit: EvalUnit, hay: tuple[str, ...]) -> bool | None:
     if command.attributes is None:
         return None
     mode = unit.hypothesis.mode
-    phrases = [normalize(p, mode) for p in command.attributes]
-    if command.op is Operation.ADD:
-        return all(find_phrase(hay, p) >= 0 for p in phrases)
-    return not any(find_phrase(hay, p) >= 0 for p in phrases)
+    return attributes_hold(command.op, [normalize(p, mode) for p in command.attributes], hay)
 
 
 def pos_acc(unit: EvalUnit) -> bool | None:

@@ -101,6 +101,20 @@ def normalized_tokens(seq: TokenSeq) -> tuple[str, ...]:
     return normalize(seq.tokens, seq.mode)
 
 
+def splice(tokens: tuple[str, ...], spans, fills) -> tuple[str, ...]:
+    """tokens with each [s, e) span of spans replaced by the token run
+    at the same place in fills, the spans sorted and pairwise disjoint;
+    a gap g is the empty span (g, g)."""
+    out: list[str] = []
+    prev = 0
+    for (s, e), fill in zip(spans, fills):
+        out += tokens[prev:s]
+        out += fill
+        prev = e
+    out += tokens[prev:]
+    return tuple(out)
+
+
 def find_phrase(hay: tuple[str, ...], phrase: tuple[str, ...]) -> int:
     """Index of the first occurrence of phrase in hay, or -1."""
     n = len(phrase)

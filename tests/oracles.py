@@ -29,7 +29,6 @@ from dataclasses import replace
 from capedit import text as text_mod
 from capedit.commands import MASK_TOKEN, Command, CommandKind, Operation, kind
 from capedit.construction import ConstructionConfig, EditSample, _content_tokens, _jaccard
-from capedit.kernels import OP_DEL, OP_INS, OP_MASK, OP_MATCH, OP_SUB
 from capedit.metrics import (
     MetricReport,
     MetricRow,
@@ -527,9 +526,17 @@ def evaluate_corpus_two_pass(units, delta=1) -> MetricReport:
     return MetricReport(rows, _two_pass_row("overall", "Overall", units, delta))
 
 
+# dsa_full_table's op codes
+OP_MATCH = 0
+OP_SUB = 1
+OP_DEL = 2
+OP_INS = 3
+OP_MASK = 4
+
+
 def dsa_full_table(x: list[str | None], y: list[str]) -> tuple[int, list[tuple]]:
-    """kernels.dsa_ops as a full-table DP: align a mask-bearing reference x
-    against a hypothesis y.
+    """kernels.dsa_ops as a full-table DP that spells out every step:
+    align a mask-bearing reference x against a hypothesis y.
 
     Masks (None) absorb a contiguous, possibly empty run of hypothesis
     tokens at zero cost; match costs 0, substitution / deletion /

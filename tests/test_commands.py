@@ -12,6 +12,7 @@ from capedit.commands import (
     CommandKind,
     RESERVED_TOKENS,
     Operation,
+    attributes_hold,
     check_reference,
     kind,
     make_positioned_reference,
@@ -92,6 +93,17 @@ def test_attribute_validation():
         Command(Operation.ADD, None, (("light blue",),))
     with pytest.raises(CommandError, match="bad attribute token"):
         Command(Operation.ADD, None, (("",),))
+
+
+def test_attributes_hold_needs_all_phrases_for_add_and_none_for_del():
+    hay = ("a", "red", "wooden", "table", ".")
+    for phrases, add, del_ in [
+        ((("red",), ("wooden", "table")), True, False),
+        ((("red",), ("blue",)), False, False),
+        ((("blue",), ("table", "wooden")), False, True),
+    ]:
+        assert attributes_hold(Operation.ADD, phrases, hay) is add
+        assert attributes_hold(Operation.DEL, phrases, hay) is del_
 
 
 def test_positioned_reference_weaves_gaps():

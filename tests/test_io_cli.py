@@ -21,6 +21,7 @@ from capedit.construction import (
 )
 from capedit.editing import oracle_apply
 from capedit.errors import DatasetError
+from capedit.metrics import EvalUnit, attr_acc, len_acc, pos_acc
 from capedit.text import LanguageMode, detokenize, tokenize
 
 from helpers import make_samples
@@ -812,6 +813,61 @@ def test_construct_corpus_matches_golden_records(data_dir, neighbors):
     assert [sample_to_wire(s) for s in samples] == [
         json.loads(line) for line in expected.splitlines()
     ]
+
+
+def _golden_argv(data_dir, neighbors):
+    argv = [
+        "construct",
+        "--captions", _golden(data_dir, "captions.jsonl"),
+        "--parses", _golden(data_dir, "parses.conllu"),
+        "--srl", _golden(data_dir, "srl.jsonl"),
+        "--ppl", _golden(data_dir, "ppl.jsonl"),
+        "--config", _golden(data_dir, "config.json"),
+        "--seed", str(_GOLDEN_CONSTRUCT_SEED),
+    ]
+    if neighbors:
+        argv += ["--neighbors", _golden(data_dir, "neighbors.jsonl")]
+    return argv
+
+
+def _fixture_argv(data_dir):
+    return [
+        "construct",
+        "--captions", str(data_dir / "captions.jsonl"),
+        "--parses", str(data_dir / "parses.conllu"),
+        "--srl", str(data_dir / "srl.jsonl"),
+        "--neighbors", str(data_dir / "neighbors.jsonl"),
+        "--ppl", str(data_dir / "ppl.jsonl"),
+        "--config", str(data_dir / "config.json"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d: _golden_argv(d, neighbors=False),
+        lambda d: _golden_argv(d, neighbors=True),
+        _fixture_argv,
+    ],
+    ids=["golden-join", "golden-neighbors-file", "fixture"],
+)
+def test_construct_output_passes_its_own_checks(tmp_path, capsys, data_dir, argv):
+    """Every written sample, scored with its own ground truth as the
+    hypothesis, passes the length check, and the attribute and
+    positional checks wherever they apply: construction and the metrics
+    read a command the same way."""
+    out = tmp_path / "corpus.jsonl"
+    assert main(argv(data_dir) + ["--out", str(out)]) == 0
+    units = [EvalUnit(s, s.ground_truth) for s in cio.read_dataset(str(out))]
+    assert units
+    failed = [
+        u.sample.id
+        for u in units
+        if not len_acc(u) or attr_acc(u) is False or pos_acc(u) is False
+    ]
+    assert failed == []
+    assert any(attr_acc(u) is not None for u in units)
+    assert any(pos_acc(u) is not None for u in units)
 
 
 def test_read_parses_checks_each_tree_once(data_dir, monkeypatch):

@@ -11,16 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capedit import kernels
-from oracles import align_oracle, dsa_full_table, lcs_dp, levenshtein_dp
+from oracles import OP_MASK, OP_MATCH, align_oracle, dsa_full_table, lcs_dp, levenshtein_dp
 
 
 def test_facade_interning_handles_arbitrary_tokens():
     assert kernels.backend() == "python"
     assert kernels.edit_distance(("a", "b"), ("b", "a")) == 2
     assert kernels.lcs_length(("a", "b", "c"), ("b", "c", "d")) == 2
-    cost, ops = kernels.dsa_ops(("a", None, "b"), ("a", "x", "b"))
-    assert cost == 0
-    assert (kernels.OP_MASK, 1, 1, 2) in ops
+    assert kernels.dsa_ops(("a", None, "b"), ("a", "x", "b")) == (0, ((0, 0), (2, 2)), ((1, 2),))
 
 
 @pytest.mark.parametrize(
@@ -36,21 +34,8 @@ def test_facade_interning_handles_arbitrary_tokens():
     ],
 )
 def test_dsa_edge_shapes_match_oracle(ref, hyp):
-    cost, ops = kernels.dsa_ops(ref, hyp)
-    spans = tuple((op[2], op[3]) for op in ops if op[0] == kernels.OP_MASK)
-    pairs = tuple((op[1], op[2]) for op in ops if op[0] == kernels.OP_MATCH)
+    cost, pairs, spans = kernels.dsa_ops(ref, hyp)
     assert (cost, spans, pairs) == align_oracle(ref, hyp)
-    # the ops consume every reference and hypothesis position once, in order
-    assert [op[1] for op in ops if op[0] != kernels.OP_INS] == list(range(len(ref)))
-    consumed = []
-    for op in ops:
-        if op[0] == kernels.OP_INS:
-            consumed.append(op[1])
-        elif op[0] == kernels.OP_MASK:
-            consumed.extend(range(op[2], op[3]))
-        elif op[0] != kernels.OP_DEL:
-            consumed.append(op[2])
-    assert consumed == list(range(len(hyp)))
 
 
 def _tokens(rng, n, alphabet):
@@ -141,8 +126,12 @@ def test_bit_parallel_kernels_on_ten_thousand_tokens_within_budget():
 
 
 def _check_dsa(ref, hyp):
-    """dsa_ops equals the full-table DP: cost, and every op in order."""
-    assert kernels.dsa_ops(ref, hyp) == dsa_full_table(ref, hyp)
+    """dsa_ops equals the full-table DP's cost, matched pairs and mask
+    spans, each in order."""
+    cost, ops = dsa_full_table(ref, hyp)
+    pairs = tuple((op[1], op[2]) for op in ops if op[0] == OP_MATCH)
+    spans = tuple((op[2], op[3]) for op in ops if op[0] == OP_MASK)
+    assert kernels.dsa_ops(ref, hyp) == (cost, pairs, spans)
 
 
 def test_dsa_matches_full_table_exhaustively():
@@ -194,7 +183,7 @@ def test_dsa_on_three_thousand_tokens_within_budget():
     ref = [None if i % 250 == 100 else f"t{rng.randrange(50)}" for i in range(3000)]
     hyp = _tokens(rng, 3000, 50)
     start = time.perf_counter()
-    cost, ops = kernels.dsa_ops(ref, hyp)
+    _, pairs, spans = kernels.dsa_ops(ref, hyp)
     assert time.perf_counter() - start < 1.0
-    assert cost == sum(op[0] in (kernels.OP_SUB, kernels.OP_DEL, kernels.OP_INS) for op in ops)
-    assert [op[1] for op in ops if op[0] != kernels.OP_INS] == list(range(len(ref)))
+    assert len(spans) == ref.count(None)
+    assert all(ref[i] == hyp[j] for i, j in pairs)

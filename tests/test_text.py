@@ -13,6 +13,7 @@ from capedit.text import (
     edit_distance,
     lcs_length,
     normalized_tokens,
+    splice,
     tokenize,
 )
 
@@ -25,6 +26,16 @@ CHAR = LanguageMode.CHAR
 
 def toks(text, mode=WORD):
     return tokenize(text, mode).tokens
+
+
+def test_splice_fills_gaps_and_replaces_spans():
+    tokens = ("a", "b", "c", "d")
+    assert splice(tokens, [], []) == tokens
+    assert splice(tokens, [(0, 0), (1, 3), (4, 4)], [("x",), (), ("y", "z")]) == (
+        "x", "a", "d", "y", "z",
+    )
+    # a gap and the span it touches: the fill at the gap comes first
+    assert splice(tokens, [(2, 2), (2, 4)], [("x",), ("y",)]) == ("a", "b", "x", "y")
 
 
 def test_word_tokenize_basic():
