@@ -36,7 +36,8 @@ ORACLE_NOTE = (
 
 
 def _output(path: str | None):
-    """The file at path for writing, or stdout (left open) without one."""
+    """The file at path for writing, or stdout (left open) without one;
+    opened only once all input is read, so bad input leaves it as it was."""
     return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
@@ -47,16 +48,23 @@ def _write_json(path: str | None, obj) -> None:
         out.write("\n")
 
 
+def _nonempty_dataset(path: str):
+    """iter_dataset's (line, sample) pairs, and an error if there was none."""
+    lineno = 0
+    for lineno, sample in cio.iter_dataset(path):
+        yield lineno, sample
+    if not lineno:
+        raise DatasetError(f"{path}: no dataset records")
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     # The predictions are read first; the dataset is then streamed, each
-    # record scored as it is read, so no list of samples is kept.  The
-    # dataset input that evaluate_corpus rejects, a mode other than the
-    # first record's or no record at all, is reported here at its line.
+    # record scored as it is read, so no list of samples is kept.
     predictions = cio.read_predictions(args.predictions)
 
     def units():
         mode = None
-        for lineno, sample in cio.iter_dataset(args.dataset):
+        for lineno, sample in _nonempty_dataset(args.dataset):
             hypothesis = predictions.get(sample.id)
             if hypothesis is None:
                 raise DatasetError(
@@ -70,8 +78,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                     f"from the first record's {mode.value}"
                 )
             yield EvalUnit(sample, tokenize(hypothesis, sample.mode))
-        if mode is None:
-            raise DatasetError(f"{args.dataset}: no dataset records")
 
     report = evaluate_corpus(units(), delta=args.delta)
     sys.stdout.write(format_report_table(report))
@@ -110,11 +116,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_serialize(args: argparse.Namespace) -> int:
-    samples = cio.read_dataset(args.dataset)
+    lines = []
+    for _, sample in cio.iter_dataset(args.dataset):
+        lines.append(f"{sample.id}\t{serialize(sample.command, sample.reference)}\n")
     with _output(args.out) as out:
-        for sample in samples:
-            ctrl = serialize(sample.command, sample.reference)
-            out.write(f"{sample.id}\t{ctrl}\n")
+        out.writelines(lines)
     return 0
 
 
@@ -172,20 +178,17 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_edit(args: argparse.Namespace) -> int:
-    samples = cio.read_dataset(args.dataset)
     records = []
-    for sample in samples:
+    for lineno, sample in cio.iter_dataset(args.dataset):
         payload = sample.payload
         try:
             if payload is None and kind(sample.command) is CommandKind.ADD_LEN:
                 payload = payload_from_truth(
                     sample.command, sample.reference, sample.ground_truth
                 )
-            edited = oracle_apply(
-                sample.command, sample.reference, payload, delta=args.delta
-            )
+            edited = oracle_apply(sample.command, sample.reference, payload, delta=args.delta)
         except OracleError as exc:
-            raise DatasetError(f"sample {sample.id!r}: {exc}") from exc
+            raise DatasetError(f"{args.dataset}:{lineno}: sample {sample.id!r}: {exc}") from exc
         records.append((sample.id, detokenize(edited)))
     with _output(args.out) as out:
         cio.write_predictions(out, records)
@@ -217,9 +220,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    samples = cio.read_dataset(args.dataset)
-    if not samples:
-        raise DatasetError(f"{args.dataset}: no dataset records")
+    samples = (sample for _, sample in _nonempty_dataset(args.dataset))
     _write_json(None, corpus_stats(samples).to_dict())
     return 0
 

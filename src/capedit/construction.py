@@ -24,6 +24,7 @@ import enum
 import math
 import random
 from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 
@@ -804,8 +805,8 @@ class StatRecord:
         return asdict(self)
 
 
-def corpus_stats(samples: list[EditSample]) -> StatRecord:
-    """Corpus-level descriptive statistics.
+def corpus_stats(samples: Iterable[EditSample]) -> StatRecord:
+    """Corpus-level descriptive statistics of samples, read once.
 
     Lengths and edit distances are token-level over normalized tokens;
     vocabulary counts distinct normalized tokens over references and
@@ -816,8 +817,6 @@ def corpus_stats(samples: list[EditSample]) -> StatRecord:
     of its longer side once per distinct longer side, since many pairs
     share one.  The sums are exact ints, so below 2**53 each mean is
     the float that math.fsum over the values gives."""
-    if not samples:
-        raise ValueError("empty corpus")
     vocab = set()
     ref_total = gt_total = dist_total = 0
     per_kind: Counter = Counter()
@@ -854,7 +853,9 @@ def corpus_stats(samples: list[EditSample]) -> StatRecord:
         dist_total += dist
         # _value_: a str hashes in C, an Enum member in Python
         per_kind[kind(s.command)._value_] += 1
-    n = len(samples)
+    n = sum(per_kind.values())
+    if not n:
+        raise ValueError("empty corpus")
     return StatRecord(
         count=n,
         mean_ref_len=ref_total / n,

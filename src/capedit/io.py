@@ -14,10 +14,9 @@ record's language mode.  Optional fields are omitted when absent, and
 emitted files re-read losslessly (write -> read -> write is
 byte-stable).  Errors name the file and line.
 
-The JSONL readers parse one line at a time.  iter_dataset hands each
-sample on as soon as its line is read, so a caller that does not keep
-the samples (the CLI's evaluate) holds one record at a time; the
-other readers return all they read.
+The JSONL readers parse one line at a time.  iter_dataset, the only
+dataset reader, hands each sample on as soon as its line is read, and
+no CLI command keeps the samples; the other readers return all they read.
 """
 
 from __future__ import annotations
@@ -250,11 +249,6 @@ def iter_dataset(path: str) -> Iterator[tuple[int, EditSample]]:
             raise rec.error(f"duplicate sample id {sample.id!r}")
         seen.add(sample.id)
         yield rec.lineno, sample
-
-
-def read_dataset(path: str) -> list[EditSample]:
-    """Every sample of a dataset file; see iter_dataset."""
-    return [sample for _, sample in iter_dataset(path)]
 
 
 # what json.dumps(obj, ensure_ascii=False) returns, without building an
@@ -549,6 +543,7 @@ def read_ppl(path: str, groups: list[CaptionGroup]) -> dict[tuple[str, str], flo
     pools as construct_corpus takes them."""
     by_id = {g.video_id: g for g in groups}
     out: dict[tuple[str, str], float] = {}
+    seen = set()
     for rec in _records(path):
         cid = rec.string("caption_id")
         ppl = rec.number("ppl")
@@ -556,6 +551,9 @@ def read_ppl(path: str, groups: list[CaptionGroup]) -> dict[tuple[str, str], flo
         caption = _caption(by_id, key)
         if caption is None:
             raise rec.error(f"perplexity entry for unknown caption {cid!r}")
+        if key in seen:
+            raise rec.error(f"duplicate caption id {cid!r}")
+        seen.add(key)
         out[(key[0], detokenize(caption))] = ppl
     return out
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+from capedit import io as cio
 from capedit.commands import Command, CommandKind, Operation
 from capedit.construction import CaptionGroup, EditSample, Provenance
 from capedit.editing import oracle_apply
@@ -204,6 +205,12 @@ def zipf_pools(
             caps.append(TokenSeq(("a", *content, "."), WORD))
         groups.append(CaptionGroup(f"z{v:05d}", tuple(caps)))
     return groups
+
+
+def read_samples(path: str) -> list[EditSample]:
+    """Every sample of a dataset file, in file order, read through
+    iter_dataset."""
+    return [sample for _, sample in cio.iter_dataset(path)]
 
 
 def make_units(

@@ -43,7 +43,7 @@ from capedit.metrics import (
 )
 from capedit.text import LanguageMode, TokenSeq, tokenize
 
-from helpers import make_sample, make_samples
+from helpers import make_sample, make_samples, read_samples
 from oracles import align_oracle, sample_to_wire, sari_independent
 
 WORD = LanguageMode.WORD
@@ -259,7 +259,7 @@ def test_acceptance_5_construction_reconstruction(capsys, data_dir, tmp_path):
         first, ratios=tuple(split_spec["ratios"]), seed=split_spec["seed"]
     )
     cio.write_dataset(str(tmp_path / "corpus.jsonl"), first, partition)
-    parts = [cio.read_dataset(str(tmp_path / f"corpus.{p}.jsonl")) for p in PARTITIONS]
+    parts = [read_samples(str(tmp_path / f"corpus.{p}.jsonl")) for p in PARTITIONS]
     videos = [{s.video_id for s in part_samples} for part_samples in parts]
     disjoint = all(
         not (a & b) for a, b in itertools.combinations(videos, 2)

@@ -1,8 +1,10 @@
 import gc
 import json
+import os
 import random
 import shutil
 import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +26,7 @@ from capedit.errors import DatasetError
 from capedit.metrics import EvalUnit, attr_acc, len_acc, pos_acc
 from capedit.text import LanguageMode, detokenize, tokenize
 
-from helpers import make_samples
+from helpers import make_samples, read_samples
 from oracles import sample_to_wire
 
 WORD = LanguageMode.WORD
@@ -46,7 +48,7 @@ def test_dataset_write_read_write_is_byte_stable(tmp_path):
     first = tmp_path / "a.jsonl"
     second = tmp_path / "b.jsonl"
     cio.write_dataset(str(first), samples)
-    loaded = cio.read_dataset(str(first))
+    loaded = read_samples(str(first))
     assert loaded == samples
     cio.write_dataset(str(second), loaded)
     assert first.read_bytes() == second.read_bytes()
@@ -66,19 +68,19 @@ def test_dataset_records_keep_unicode_readable(tmp_path):
     cio.write_dataset(str(path), [sample])
     raw = path.read_text(encoding="utf-8")
     assert "棕色" in raw and "\\u" not in raw
-    assert cio.read_dataset(str(path)) == [sample]
+    assert read_samples(str(path)) == [sample]
 
 
 def test_dataset_reader_reports_file_and_line(tmp_path):
     path = _write(tmp_path / "bad.jsonl", '{"id": "a"}\n')
     with pytest.raises(DatasetError) as err:
-        cio.read_dataset(path)
+        read_samples(path)
     assert f"{path}:1" in str(err.value)
     assert "video_id" in str(err.value)
 
     path = _write(tmp_path / "broken.jsonl", "{nope\n")
     with pytest.raises(DatasetError) as err:
-        cio.read_dataset(path)
+        read_samples(path)
     assert "invalid JSON" in str(err.value)
 
 
@@ -101,7 +103,7 @@ def test_iter_dataset_yields_each_sample_with_its_line(tmp_path):
     lines = [json.dumps(sample_to_wire(s)) for s in samples]
     _write(path, lines[0] + "\n\n" + lines[1] + "\n" + lines[2] + "\n")
     assert list(cio.iter_dataset(str(path))) == list(zip((1, 3, 4), samples))
-    assert cio.read_dataset(str(path)) == samples
+    assert read_samples(str(path)) == samples
     _write(path, lines[0] + "\n" + lines[1] + "\n" + lines[0] + "\n")
     stream = cio.iter_dataset(str(path))
     assert [next(stream), next(stream)] == list(zip((1, 2), samples))
@@ -114,7 +116,7 @@ def test_dataset_reader_validation(tmp_path):
     dup = tmp_path / "dup.jsonl"
     _write(dup, json.dumps(good) + "\n" + json.dumps(good) + "\n")
     with pytest.raises(DatasetError) as err:
-        cio.read_dataset(str(dup))
+        read_samples(str(dup))
     assert "duplicate sample id" in str(err.value)
 
     for bad, needle in (
@@ -130,7 +132,7 @@ def test_dataset_reader_validation(tmp_path):
     ):
         path = _write(tmp_path / "one.jsonl", json.dumps(bad) + "\n")
         with pytest.raises(DatasetError) as err:
-            cio.read_dataset(path)
+            read_samples(path)
         assert needle in str(err.value)
         assert ":1:" in str(err.value)
 
@@ -185,7 +187,7 @@ def test_dataset_numbers_read_as_floats(tmp_path):
         )
         + "\n",
     )
-    a, b, c = cio.read_dataset(path)
+    a, b, c = read_samples(path)
     assert (a.ppl, a.emscore) == (3.0, 0.5) and type(a.ppl) is float
     assert (b.ppl, b.emscore) == (None, None) == (c.ppl, c.emscore)
 
@@ -210,7 +212,7 @@ def test_provenance_defaults_when_absent(tmp_path):
     path = _write(
         tmp_path / "p.jsonl", "".join(json.dumps(r) + "\n" for r in records)
     )
-    a, b, c = cio.read_dataset(path)
+    a, b, c = read_samples(path)
     assert a.provenance is Provenance.DEGRADATION
     assert b.provenance is Provenance.REVERSAL
     assert c.provenance is Provenance.LENGTH_PAIR
@@ -484,20 +486,41 @@ def test_cli_delta_below_one_exits_two(tmp_path, capsys, subcommand):
         assert f"error: argument --delta: margin must be at least 1, got {delta}" in captured.err
 
 
-def test_cli_evaluate_memory_does_not_grow_with_the_dataset(tmp_path, capsys):
-    """evaluate streams the dataset: between N and 4N units the traced
-    peak grows by less than 1 KB per extra unit.  Only the predictions
-    map, the seen ids and a few floats per unit stay (about 0.6 KB per
-    unit as measured here); holding every sample, as a list of samples
-    or units would, costs over 3 KB each."""
+@pytest.mark.parametrize(
+    "command, bound",
+    [("evaluate", 1024), ("serialize", 1024), ("oracle-edit", 1024), ("stats", 512)],
+    ids=["evaluate", "serialize", "oracle-edit", "stats"],
+)
+def test_cli_memory_does_not_grow_with_the_dataset(tmp_path, capsys, command, bound):
+    """Every dataset command streams the dataset: between N and 4N
+    records the traced peak grows by less than bound per extra record.
+    As measured here, evaluate keeps about 0.6 KB per record (the
+    predictions map, the seen ids and a few floats), serialize and
+    oracle-edit about 0.3-0.4 KB (the seen ids and the output lines they
+    write once the input is read) and stats about 0.2 KB; holding every
+    sample, as a list of samples or units would, costs over 1.6 KB each.
+    stats's caches hold each distinct sequence once, about 3.4 KB each,
+    so its dataset repeats one set of samples under new ids, as a built
+    corpus repeats its texts."""
 
     def argv(per_kind):
-        samples = make_samples(random.Random(per_kind), per_kind)
+        if command == "stats":
+            base = make_samples(random.Random(60), 60)
+            copies = range(per_kind // 60)
+            samples = [replace(s, id=f"{s.id}.{c}") for c in copies for s in base]
+        else:
+            samples = make_samples(random.Random(per_kind), per_kind)
         ds, preds = tmp_path / f"ds{per_kind}.jsonl", tmp_path / f"preds{per_kind}.jsonl"
         cio.write_dataset(str(ds), samples)
         with open(preds, "w", encoding="utf-8") as fh:
             cio.write_predictions(fh, ((s.id, detokenize(s.ground_truth)) for s in samples))
-        return len(samples), ["evaluate", "--dataset", str(ds), "--predictions", str(preds)]
+        extra = {
+            "evaluate": ["--predictions", str(preds)],
+            "serialize": ["--out", str(tmp_path / "out")],
+            "oracle-edit": ["--out", str(tmp_path / "out")],
+            "stats": [],
+        }[command]
+        return len(samples), [command, "--dataset", str(ds), *extra]
 
     small, large = argv(60), argv(240)
     assert large[0] == 4 * small[0]
@@ -505,7 +528,7 @@ def test_cli_evaluate_memory_does_not_grow_with_the_dataset(tmp_path, capsys):
     # Freed tuples wait in CPython's free lists, which tracemalloc still
     # counts and a full collection empties.  Two warm-up runs on the
     # larger input fill them, and with the collector off they stay full,
-    # so the measured runs see only what evaluate keeps.
+    # so the measured runs see only what the command keeps.
     gc.collect()
     tracemalloc.start()
     gc.disable()
@@ -518,8 +541,8 @@ def test_cli_evaluate_memory_does_not_grow_with_the_dataset(tmp_path, capsys):
     finally:
         gc.enable()
         tracemalloc.stop()
-    per_unit = (peaks[large[0]] - peaks[small[0]]) / (large[0] - small[0])
-    assert per_unit < 1024, f"traced peak grows by {per_unit:.0f} B per unit"
+    per_record = (peaks[large[0]] - peaks[small[0]]) / (large[0] - small[0])
+    assert per_record < bound, f"traced peak grows by {per_record:.0f} B per record"
 
 
 @pytest.mark.parametrize("hyp", [None, 7, ["a", "b"]], ids=["null", "number", "list"])
@@ -563,7 +586,7 @@ def test_cli_serialize_and_parse_control_round_trip(tmp_path, capsys):
     controls = tmp_path / "controls.tsv"
     assert main(["serialize", "--dataset", str(ds), "--out", str(controls)]) == 0
     lines = controls.read_text(encoding="utf-8").splitlines()
-    samples = cio.read_dataset(str(ds))
+    samples = read_samples(str(ds))
     assert len(lines) == len(samples)
     assert all("\t" in line and "[o]" in line for line in lines)
 
@@ -723,7 +746,7 @@ def test_cli_construct_end_to_end(tmp_path, capsys, data_dir):
         "--out", str(out),
     ]
     assert main(argv) == 0
-    samples = cio.read_dataset(str(out))
+    samples = read_samples(str(out))
     assert samples
     kinds = {kind(s.command) for s in samples}
     assert CommandKind.DEL_POS in kinds
@@ -743,7 +766,7 @@ def test_cli_construct_end_to_end(tmp_path, capsys, data_dir):
     for part in ("train", "val", "test"):
         part_path = tmp_path / f"corpus.{part}.jsonl"
         assert part_path.exists()
-        split_ids[part] = {s.video_id for s in cio.read_dataset(str(part_path))}
+        split_ids[part] = {s.video_id for s in read_samples(str(part_path))}
     assert not (split_ids["train"] & split_ids["val"])
     assert not (split_ids["train"] & split_ids["test"])
 
@@ -830,6 +853,37 @@ def _golden_argv(data_dir, neighbors):
     return argv
 
 
+def test_cli_outputs_do_not_depend_on_the_hash_seed(tmp_path, data_dir):
+    """construct on the golden pool and evaluate on the golden eval files
+    write the same bytes under two string hash seeds, so the iteration
+    order of a set or dict of strings reaches no output."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cio.__file__).resolve().parents[1])}
+    written = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        out.mkdir()
+        runs = (
+            _golden_argv(data_dir, neighbors=False) + ["--out", str(out / "corpus.jsonl")],
+            [
+                "evaluate",
+                "--dataset", str(data_dir / "golden_eval_dataset.jsonl"),
+                "--predictions", str(data_dir / "golden_eval_predictions.jsonl"),
+                "--delta", "2", "--per-kind", "--out", str(out / "report.json"),
+            ],
+        )
+        stdout = [
+            subprocess.run(
+                [sys.executable, "-m", "capedit.cli", *argv],
+                env={**env, "PYTHONHASHSEED": seed}, capture_output=True, check=True,
+            ).stdout
+            for argv in runs
+        ]
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        written.append((stdout, files))
+    assert len(written[0][1]) == 6
+    assert written[0] == written[1]
+
+
 def _fixture_argv(data_dir):
     return [
         "construct",
@@ -858,7 +912,7 @@ def test_construct_output_passes_its_own_checks(tmp_path, capsys, data_dir, argv
     read a command the same way."""
     out = tmp_path / "corpus.jsonl"
     assert main(argv(data_dir) + ["--out", str(out)]) == 0
-    units = [EvalUnit(s, s.ground_truth) for s in cio.read_dataset(str(out))]
+    units = [EvalUnit(s, s.ground_truth) for s in read_samples(str(out))]
     assert units
     failed = [
         u.sample.id
@@ -995,6 +1049,11 @@ def _sentence(sent_id, caption):
          "{path}:2:", "duplicate video id 'vid2'"),
         ("neighbors.jsonl", '{"video_id": "vid1", "neighbors": ["vid1"]}',
          "{path}:1:", "video 'vid1' is listed as its own neighbor"),
+        ("ppl.jsonl", '{"caption_id": "vid1#0", "ppl": 1.0}\n{"caption_id": "vid1#0", "ppl": 999.0}',
+         "{path}:2:", "duplicate caption id 'vid1#0'"),
+        # "#00" names the caption "#0" names
+        ("ppl.jsonl", '{"caption_id": "vid1#0", "ppl": 1.0}\n{"caption_id": "vid1#00", "ppl": 9.0}',
+         "{path}:2:", "duplicate caption id 'vid1#00'"),
         # a tree is checked for one root, then for heads in range, then for a cycle
         ("parses.conllu", "# sent_id = vid1#0\n1\ta\t_\tDET\t_\t_\t9\tdep\t_\t_\n"
          + _ROOT_ROW.replace("1\ta", "2\tb") + _ROOT_ROW.replace("1\ta", "3\tc"),
@@ -1018,6 +1077,7 @@ def _sentence(sent_id, caption):
         "conllu-duplicate-sent-id", "conllu-token-mismatch", "conllu-token-count",
         "neighbors-unknown-video", "captions-reserved-token-reference",
         "captions-reserved-token-truth", "neighbors-duplicate-video", "neighbors-self",
+        "ppl-duplicate-caption", "ppl-duplicate-caption-other-spelling",
         "conllu-two-roots-before-head-out-of-range", "conllu-head-out-of-range-before-cycle",
     ],
 )
@@ -1190,7 +1250,7 @@ def test_cli_construct_captions_only(tmp_path, data_dir):
         "construct", "--captions", str(data_dir / "captions.jsonl"),
         "--out", str(out),
     ]) == 0
-    samples = cio.read_dataset(str(out))
+    samples = read_samples(str(out))
     # no parses and no similar videos: only the length pair survives
     assert [kind(s.command) for s in samples] == [CommandKind.ADD_LEN]
 
@@ -1217,7 +1277,7 @@ def test_cli_construct_stacked_adjectives(tmp_path):
     )
     out = tmp_path / "corpus.jsonl"
     assert main(["construct", "--captions", captions, "--parses", parses, "--out", str(out)]) == 0
-    samples = cio.read_dataset(str(out))
+    samples = read_samples(str(out))
     assert any(s.payload is not None for s in samples)
     for s in samples:
         if s.payload is not None:
@@ -1244,19 +1304,54 @@ def test_cli_construct_without_samples_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "rec, needle",
+    "rec, message",
     [
         # nothing before the final punctuation is left to drop
-        (_record(command={"op": "del"}, reference=".", ground_truth="a"), "cannot shorten"),
+        (_record(command={"op": "del"}, reference=".", ground_truth="a"),
+         "cannot shorten a 1-token caption below 0 tokens"),
         # no surplus tail of the truth to insert
-        (_record(reference="a b c .", ground_truth="a ."), "ground truth is not longer"),
+        (_record(reference="a b c .", ground_truth="a ."),
+         "ground truth is not longer than the reference"),
     ],
     ids=["del-len-of-punctuation", "add-len-with-shorter-truth"],
 )
-def test_cli_oracle_edit_unrealizable_sample_exits_two(tmp_path, capsys, rec, needle):
+def test_cli_oracle_edit_unrealizable_sample_exits_two(tmp_path, capsys, rec, message):
     ds = _write(tmp_path / "ds.jsonl", json.dumps(rec) + "\n")
     assert main(["oracle-edit", "--dataset", ds]) == 2
-    assert f"error: sample 'r0': {needle}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ds}:1: sample 'r0': {message}\n"
+
+
+def test_cli_oracle_edit_reports_the_first_fault_in_file_order(tmp_path, capsys):
+    # the dataset is streamed, so an unrealizable sample at line 2 is
+    # reported before the invalid JSON at line 5 is read
+    lines = [
+        json.dumps(_record(id="a")),
+        json.dumps(_record(id="r0", reference="a b c .", ground_truth="a .")),
+        json.dumps(_record(id="b")),
+        json.dumps(_record(id="c")),
+        "{nope",
+    ]
+    ds = _write(tmp_path / "ds.jsonl", "\n".join(lines) + "\n")
+    assert main(["oracle-edit", "--dataset", ds]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {ds}:2: sample 'r0': ground truth is not longer than the reference\n"
+    )
+
+
+@pytest.mark.parametrize("subcommand", ["serialize", "oracle-edit"])
+def test_cli_bad_last_line_leaves_out_unchanged(tmp_path, capsys, subcommand):
+    # nothing is written before the whole dataset has been read
+    ds, _ = _evaluate_flow(tmp_path)
+    with open(ds, "a", encoding="utf-8") as fh:
+        fh.write("{nope\n")
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"kept\n")
+    assert main([subcommand, "--dataset", str(ds), "--out", str(out)]) == 2
+    lines = ds.read_text(encoding="utf-8").count("\n")
+    assert f"error: {ds}:{lines}: invalid JSON" in capsys.readouterr().err
+    assert out.read_bytes() == b"kept\n"
 
 
 def test_cli_session_empty_script_exits_two(tmp_path, capsys):
@@ -1269,7 +1364,7 @@ def test_cli_internal_error_exits_one(tmp_path, capsys, monkeypatch):
     def broken(path):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cio, "read_dataset", broken)
+    monkeypatch.setattr(cio, "iter_dataset", broken)
     assert main(["stats", "--dataset", str(tmp_path / "any.jsonl")]) == 1
     assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
